@@ -272,13 +272,13 @@ fn duplicate_frame_tags_are_flagged() {
     fx.write(
         "crates/service/src/protocol.rs",
         concat!(
-            "const OP_UPDATE: u8 = 0x01;\n",
-            "const OP_QUERY: u8 = 0x02;\n",
+            "const OP_PING: u8 = 0x01;\n",
+            "const OP_PONG: u8 = 0x02;\n",
             "const OP_CLASH: u8 = 0x01;\n",
             "pub const NOT_A_TAG: u32 = 1;\n",
             "#[cfg(test)]\n",
             "mod tests {\n",
-            "    fn roundtrip() { let _ = (OP_UPDATE, OP_QUERY, OP_CLASH); }\n",
+            "    fn roundtrip() { let _ = (OP_PING, OP_PONG, OP_CLASH); }\n",
             "}\n",
         ),
     );
@@ -286,14 +286,14 @@ fn duplicate_frame_tags_are_flagged() {
     // collision is the only finding.
     fx.write(
         "README.md",
-        "| frame | opcode |\n|---|---|\n| `UPDATE` | `0x01` |\n| `QUERY` | `0x02` |\n",
+        "| frame | opcode |\n|---|---|\n| `PING` | `0x01` |\n| `PONG` | `0x02` |\n",
     );
     let report = run_lints(&fx.root);
     assert_eq!(report.findings.len(), 1, "{}", report.render());
     let f = &report.findings[0];
     assert_eq!(f.check, "frame-tags");
     assert_eq!(f.line, 3);
-    assert!(f.message.contains("OP_UPDATE"));
+    assert!(f.message.contains("OP_PING"));
 }
 
 #[test]
@@ -303,17 +303,17 @@ fn undocumented_opcode_is_flagged() {
     fx.write(
         "crates/service/src/protocol.rs",
         concat!(
-            "const OP_UPDATE: u8 = 0x01;\n",
+            "const OP_PING: u8 = 0x01;\n",
             "const OP_NEW: u8 = 0x15;\n",
             "#[cfg(test)]\n",
             "mod tests {\n",
-            "    fn roundtrip() { let _ = (OP_UPDATE, OP_NEW); }\n",
+            "    fn roundtrip() { let _ = (OP_PING, OP_NEW); }\n",
             "}\n",
         ),
     );
     fx.write(
         "README.md",
-        "prose mentioning 0x15 outside a table does not count\n| `UPDATE` | `0x01` | body | reply |\n",
+        "prose mentioning 0x15 outside a table does not count\n| `PING` | `0x01` | body | reply |\n",
     );
     let report = run_lints(&fx.root);
     assert_eq!(report.findings.len(), 1, "{}", report.render());
@@ -335,18 +335,18 @@ fn untested_opcode_is_flagged() {
     fx.write(
         "crates/service/src/protocol.rs",
         concat!(
-            "const OP_UPDATE: u8 = 0x01;\n",
+            "const OP_PING: u8 = 0x01;\n",
             "const OP_NEW: u8 = 0x15;\n",
             "fn decode(op: u8) -> bool { op == OP_NEW }\n",
             "#[cfg(test)]\n",
             "mod tests {\n",
-            "    fn roundtrip() { let _ = OP_UPDATE; }\n",
+            "    fn roundtrip() { let _ = OP_PING; }\n",
             "}\n",
         ),
     );
     fx.write(
         "README.md",
-        "| `UPDATE` | `0x01` | body | reply |\n| `NEW` | `0x15` | body | reply |\n",
+        "| `PING` | `0x01` | body | reply |\n| `NEW` | `0x15` | body | reply |\n",
     );
     let report = run_lints(&fx.root);
     assert_eq!(report.findings.len(), 1, "{}", report.render());

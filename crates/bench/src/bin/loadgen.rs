@@ -5,7 +5,7 @@
 //!                [--ops N] [--keys N] [--queries N] [--batch N]
 //!                [--shards N] [--write-buffer B] [--mix SPEC]
 //!                [--replicas N] [--mode partition|mirror]
-//!                [--query-ratio R] [--no-delta] [--rejoin]
+//!                [--query-ratio R] [--rejoin]
 //!                [--addr HOST:PORT] [--json FILE] [--history-out FILE]
 //!                [--shutdown] [--no-check]
 //! ```
@@ -78,9 +78,11 @@
 //! replicated report then carries merged-read accounting: how the
 //! snapshot roundtrips split across `unchanged`/delta/full replies
 //! and the bytes they moved, in text and under `"merged_reads"` in
-//! `--json`. `--no-delta` turns the querier's delta cache off (every
-//! merged read fetches full snapshots), giving the like-for-like
-//! wire-byte baseline the delta path is judged against.
+//! `--json`. The wire-byte baseline the delta path is judged against
+//! is `full_equiv_bytes_in`: at the end of the run the querier sizes
+//! one full `SNAPSHOT_SINCE(u64::MAX)` reply per replica and object,
+//! and sums, over the run's merged reads, the full replies that read
+//! would have pulled from every replica.
 
 use ivl_bench::{mops, timed_scope, Worker};
 use ivl_replica::{DeltaStats, MergedRead, ReplicaError, ReplicaGroup, ReplicaMode};
@@ -92,6 +94,7 @@ use ivl_spec::history::{History, HistoryBuilder, ObjectId, ProcessId};
 use ivl_spec::io::write_history;
 use ivl_spec::ivl::check_ivl_exact;
 use ivl_spec::linearize::MAX_EXACT_OPS;
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Mutex;
@@ -136,7 +139,7 @@ fn parse_mix(spec: &str) -> Option<Vec<MixEntry>> {
             weight,
         });
     }
-    // The CountMin anchors object 0 (v1 compatibility): move it to the
+    // The CountMin anchors object 0 (the default object): move it to the
     // front, or prepend a zero-traffic one if the mix has none.
     if let Some(pos) = entries.iter().position(|e| e.kind == ObjectKind::CountMin) {
         let cm = entries.remove(pos);
@@ -213,7 +216,6 @@ struct Opts {
     replicas: usize,
     replica_mode: ReplicaMode,
     query_ratio: Option<f64>,
-    delta_reads: bool,
     rejoin: bool,
     check: bool,
     addr: Option<String>,
@@ -237,7 +239,6 @@ impl Default for Opts {
             replicas: 0,
             replica_mode: ReplicaMode::Partition,
             query_ratio: None,
-            delta_reads: true,
             rejoin: false,
             check: true,
             addr: None,
@@ -271,7 +272,6 @@ fn parse() -> Option<Opts> {
                 }
                 o.query_ratio = Some(r);
             }
-            "--no-delta" => o.delta_reads = false,
             "--rejoin" => o.rejoin = true,
             "--no-check" => o.check = false,
             "--shutdown" => o.shutdown = true,
@@ -386,7 +386,17 @@ struct RunOutcome {
     /// Merged-read snapshot accounting (replicated runs only): how the
     /// group's reads split across unchanged/delta/full replies and
     /// what they cost on the wire.
-    merged_reads: Option<DeltaStats>,
+    merged_reads: Option<MergedReads>,
+}
+
+/// The querier's merged-read accounting plus its full-read baseline.
+#[derive(Default)]
+struct MergedReads {
+    stats: DeltaStats,
+    /// Response bytes the run's merged reads would have pulled had
+    /// every replica answered each of them with full state: per read,
+    /// the sum over replicas of that object's full-reply size.
+    full_equiv_bytes_in: u64,
 }
 
 impl RunOutcome {
@@ -404,10 +414,13 @@ impl RunOutcome {
             })
             .collect();
         let merged_reads = match &self.merged_reads {
-            Some(d) => format!(
+            Some(MergedReads {
+                stats: d,
+                full_equiv_bytes_in,
+            }) => format!(
                 ",\n      \"merged_reads\": {{\"reads\": {}, \"unchanged\": {}, \
                  \"deltas\": {}, \"fulls\": {}, \"unchanged_rate\": {:.4}, \
-                 \"bytes_out\": {}, \"bytes_in\": {}}}",
+                 \"bytes_out\": {}, \"bytes_in\": {}, \"full_equiv_bytes_in\": {}}}",
                 d.reads,
                 d.unchanged,
                 d.deltas,
@@ -415,6 +428,7 @@ impl RunOutcome {
                 d.unchanged_rate(),
                 d.bytes_out,
                 d.bytes_in,
+                full_equiv_bytes_in,
             ),
             None => String::new(),
         };
@@ -1080,13 +1094,11 @@ fn replicated_query(
     replica_lat: &[Samples],
     recorders: Option<&Vec<ClientRecorder>>,
     process: ProcessId,
-    delta_reads: bool,
-    delta_out: &Mutex<DeltaStats>,
+    merged_out: &Mutex<MergedReads>,
 ) {
     let n = addrs.len();
     let mut group =
         ReplicaGroup::new(addrs.to_vec(), mode, seed_group).expect("non-empty replica group");
-    group.set_delta_reads(delta_reads);
     let mut direct: Vec<Client> = addrs
         .iter()
         .map(|a| Client::connect(a.parse::<SocketAddr>().expect("replica addr")))
@@ -1095,9 +1107,11 @@ fn replicated_query(
     let mut stream = ZipfStream::new(keys, 1.1, 0xbeef);
     let mut merged_local = Vec::new();
     let mut replica_local: Vec<Vec<u64>> = vec![Vec::new(); n];
+    let mut reads_per_object: BTreeMap<u32, u64> = BTreeMap::new();
     for i in 0..queries {
         let key = stream.next_item();
         let object = plan.ids[plan.pick(i)];
+        *reads_per_object.entry(object).or_insert(0) += 1;
         let ops_per_replica: Option<Vec<_>> = recorders.map(|rec| {
             rec.iter()
                 .map(|r| {
@@ -1135,20 +1149,28 @@ fn replicated_query(
     for (lat, local) in replica_lat.iter().zip(replica_local) {
         lat.push_all(local);
     }
-    *delta_out.lock().unwrap() = group.delta_stats();
+    // The full-read baseline: one `SNAPSHOT_SINCE(u64::MAX)` reply per
+    // replica and object, sized now (a full reply's size is fixed per
+    // object), charged once per merged read of that object.
+    let mut full_equiv_bytes_in = 0;
+    for (&object, &reads) in &reads_per_object {
+        for c in &mut direct {
+            let (_, in0) = c.wire_bytes();
+            c.snapshot_since(object, u64::MAX)
+                .expect("full snapshot answered");
+            full_equiv_bytes_in += reads * (c.wire_bytes().1 - in0);
+        }
+    }
+    *merged_out.lock().unwrap() = MergedReads {
+        stats: group.delta_stats(),
+        full_equiv_bytes_in,
+    };
 }
 
 /// Boots `n` in-process replicas sharing a seed and drives them
 /// through per-worker [`ReplicaGroup`]s. Overall tails are the merged
 /// group latencies; the per-"object" rows are per-replica tails.
-/// `delta_reads` false runs the full-snapshot merged-read baseline
-/// (labelled `-full`) the delta path is compared against.
-fn run_replicated(
-    o: &Opts,
-    backend: Backend,
-    n: usize,
-    delta_reads: bool,
-) -> Result<RunOutcome, String> {
+fn run_replicated(o: &Opts, backend: Backend, n: usize) -> Result<RunOutcome, String> {
     let mode = o.replica_mode;
     let plan = MixPlan::in_process(&o.mix);
     let handles: Vec<_> = (0..n)
@@ -1208,11 +1230,11 @@ fn run_replicated(
         })
         .collect();
     let (queries, keys, threads) = (o.queries, o.keys, o.threads);
-    let delta_out = Mutex::new(DeltaStats::default());
+    let merged_out = Mutex::new(MergedReads::default());
     {
         let (addrs, plan) = (&addrs, &plan);
         let (mlat, rlat, rec) = (&merged_query, &replica_query, recorders.as_ref());
-        let delta_out = &delta_out;
+        let merged_out = &merged_out;
         workers.push(Box::new(move || {
             replicated_query(
                 addrs,
@@ -1225,13 +1247,12 @@ fn run_replicated(
                 rlat,
                 rec,
                 ProcessId(threads as u32),
-                delta_reads,
-                delta_out,
+                merged_out,
             );
         }));
     }
     let wall = timed_scope(workers);
-    let merged_reads = delta_out.into_inner().unwrap();
+    let merged_reads = merged_out.into_inner().unwrap();
 
     let batch_ns = Tail::of(&merged_batch.sorted());
     let query_ns = Tail::of(&merged_query.sorted());
@@ -1244,11 +1265,7 @@ fn run_replicated(
         });
     }
 
-    let label = if delta_reads {
-        format!("replicated-{mode}-x{n}")
-    } else {
-        format!("replicated-{mode}-x{n}-full")
-    };
+    let label = format!("replicated-{mode}-x{n}");
     report_named(
         &label,
         o.threads,
@@ -1259,17 +1276,21 @@ fn run_replicated(
         query_ns,
     );
     report_objects(&label, &objects);
-    if merged_reads.reads > 0 {
+    let d = &merged_reads.stats;
+    if d.reads > 0 {
         println!(
             "[{label}] merged reads: {} snapshot roundtrips ({} unchanged, {} delta, \
-             {} full; unchanged-rate {:.2}), wire {} B out + {} B in",
-            merged_reads.reads,
-            merged_reads.unchanged,
-            merged_reads.deltas,
-            merged_reads.fulls,
-            merged_reads.unchanged_rate(),
-            merged_reads.bytes_out,
-            merged_reads.bytes_in,
+             {} full; unchanged-rate {:.2}), wire {} B out + {} B in \
+             vs {} B in had every reply been full ({:.1}x fewer)",
+            d.reads,
+            d.unchanged,
+            d.deltas,
+            d.fulls,
+            d.unchanged_rate(),
+            d.bytes_out,
+            d.bytes_in,
+            merged_reads.full_equiv_bytes_in,
+            merged_reads.full_equiv_bytes_in as f64 / d.bytes_in.max(1) as f64,
         );
     }
 
@@ -1789,9 +1810,9 @@ fn run(o: &Opts) -> Result<(), String> {
             // layer's own overhead from the fan-out/merge cost.
             let first = runs.len();
             if o.replicas > 1 {
-                runs.push(run_replicated(o, backend, 1, o.delta_reads)?);
+                runs.push(run_replicated(o, backend, 1)?);
             }
-            runs.push(run_replicated(o, backend, o.replicas, o.delta_reads)?);
+            runs.push(run_replicated(o, backend, o.replicas)?);
             if o.replicas > 1 {
                 let (one, many) = (&runs[first], &runs[first + 1]);
                 println!(
@@ -1810,27 +1831,6 @@ fn run(o: &Opts) -> Result<(), String> {
                     many.query_ns.p50 as f64 / one.query_ns.p50.max(1) as f64,
                 );
             }
-            // The full-snapshot baseline: the same query-heavy load
-            // with the delta cache off, so the wire-byte savings of
-            // the `SNAPSHOT_SINCE` path are measured like-for-like
-            // (and committed alongside it in `--json`).
-            if o.replicas > 1 && o.delta_reads {
-                let delta_at = runs.len() - 1;
-                runs.push(run_replicated(o, backend, o.replicas, false)?);
-                let (d, f) = (&runs[delta_at], runs.last().expect("just pushed"));
-                if let (Some(d), Some(f)) = (&d.merged_reads, &f.merged_reads) {
-                    let total_d = d.bytes_out + d.bytes_in;
-                    let total_f = f.bytes_out + f.bytes_in;
-                    println!(
-                        "compare merged-read wire bytes over {} reads: delta {} B \
-                         vs full {} B ({:.1}x fewer)",
-                        d.reads,
-                        total_d,
-                        total_f,
-                        total_f as f64 / total_d.max(1) as f64,
-                    );
-                }
-            }
         }
     }
     write_json(o, &runs)
@@ -1842,7 +1842,7 @@ fn main() -> ExitCode {
             "usage: loadgen [--backend threaded|event-loop|both] [--threads N] \
              [--ops N] [--keys N] [--queries N] [--batch N] [--shards N] \
              [--write-buffer B] [--mix cm=8,hll=1,morris=1] [--replicas N] \
-             [--mode partition|mirror] [--query-ratio R] [--no-delta] [--rejoin] \
+             [--mode partition|mirror] [--query-ratio R] [--rejoin] \
              [--addr HOST:PORT] [--json FILE] [--history-out FILE] \
              [--shutdown] [--no-check]"
         );

@@ -15,21 +15,25 @@
 //!   --backoff-ms  pause between reconnect attempts (20)
 //! ```
 //!
-//! Clients connect as if to a single `ivl_serve`: updates and batches
-//! are acknowledged after the group placed them, queries and
-//! snapshots return merged state with the composed IVL envelope, and
+//! Clients connect as if to a single `ivl_serve`: batches (a single
+//! update is a one-item batch) are acknowledged after the group placed
+//! them, queries and `SNAPSHOT_SINCE` reads return merged state with
+//! the composed IVL envelope, and
 //! replicas that die degrade the answer (widened envelope) instead of
 //! failing it. Merging replicas with mismatched coins or dimensions
 //! answers a typed `merge-mismatch` wire error, never a panic.
-//! `SHUTDOWN` propagates to every reachable replica, then drains the
-//! frontend itself.
+//! Malformed frames get the backends' treatment: a well-delimited one
+//! is answered with a `protocol` error and the connection keeps
+//! serving; an oversized or empty length prefix is answered with a
+//! `protocol` error, then the connection closes. `SHUTDOWN` propagates
+//! to every reachable replica, then drains the frontend itself.
 
 use ivl_replica::{ReplicaError, ReplicaGroup, ReplicaMode};
 use ivl_service::protocol::{self, read_frame};
 use ivl_service::{
-    ClientError, DeltaChange, ErrorCode, Metrics, ObjectSnapshot, Request, Response, SnapshotDelta,
+    ClientError, DeltaChange, ErrorCode, Metrics, Request, Response, SnapshotDelta, WireError,
 };
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -99,20 +103,30 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) {
     // backend servers' ACK semantics.
     let mut applied = 0u64;
     let mut buf = Vec::new();
-    while let Ok(Some(payload)) = read_frame(&mut stream, protocol::DEFAULT_MAX_FRAME_LEN) {
+    loop {
+        let payload = match read_frame(&mut stream, protocol::DEFAULT_MAX_FRAME_LEN) {
+            Ok(Some(payload)) => payload,
+            Ok(None) => break,
+            Err(e @ (WireError::Oversized { .. } | WireError::Malformed(_))) => {
+                // The prefix cannot be trusted (oversized or empty), so
+                // the stream cannot be resynchronized: report, close.
+                shared.metrics.record_protocol_error();
+                let _ = send(&mut stream, &mut buf, &protocol_error(e));
+                break;
+            }
+            Err(_) => break, // truncated or gone: nobody to answer
+        };
         shared.metrics.record_frame();
         let request = match Request::decode(&payload) {
             Ok(r) => r,
             Err(e) => {
+                // The frame was length-delimited, so the stream is
+                // still in sync: answer and keep serving.
                 shared.metrics.record_protocol_error();
-                let rsp = Response::Error {
-                    code: ErrorCode::Protocol,
-                    message: e.to_string(),
-                };
-                buf.clear();
-                rsp.encode(&mut buf);
-                let _ = stream.write_all(&buf);
-                return;
+                if !send(&mut stream, &mut buf, &protocol_error(e)) {
+                    break;
+                }
+                continue;
             }
         };
         if shared.shutdown.load(Ordering::Acquire) {
@@ -120,28 +134,10 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) {
                 code: ErrorCode::ShuttingDown,
                 message: "frontend is draining".into(),
             };
-            buf.clear();
-            rsp.encode(&mut buf);
-            let _ = stream.write_all(&buf);
-            return;
+            let _ = send(&mut stream, &mut buf, &rsp);
+            break;
         }
         let rsp = match request {
-            Request::Update {
-                object,
-                key,
-                weight,
-            } => {
-                let start = Instant::now();
-                match group.update(object, key, weight) {
-                    Ok(_) => {
-                        shared.metrics.record_updates(1, start.elapsed().as_nanos());
-                        shared.observed.fetch_add(weight, Ordering::Relaxed);
-                        applied += 1;
-                        Response::Ack { applied }
-                    }
-                    Err(e) => wire_error(e),
-                }
-            }
             Request::Batch { object, items } => {
                 let start = Instant::now();
                 let weight: u64 = items.iter().map(|&(_, w)| w).sum();
@@ -164,21 +160,6 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) {
                     Ok(read) => {
                         shared.metrics.record_query(start.elapsed().as_nanos());
                         Response::Envelope(read.envelope)
-                    }
-                    Err(e) => wire_error(e),
-                }
-            }
-            Request::Snapshot { object } => {
-                let start = Instant::now();
-                match group.snapshot_merged(object) {
-                    Ok(merged) => {
-                        shared.metrics.record_query(start.elapsed().as_nanos());
-                        Response::Snapshot(ObjectSnapshot {
-                            object: merged.object,
-                            kind: merged.kind,
-                            state: merged.state,
-                            envelope: merged.envelope,
-                        })
                     }
                     Err(e) => wire_error(e),
                 }
@@ -232,22 +213,39 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) {
                 let acked = group.shutdown();
                 shared.shutdown.store(true, Ordering::Release);
                 eprintln!("ivl_replicate: shutdown propagated to {acked} replicas, draining");
-                buf.clear();
-                Response::Goodbye.encode(&mut buf);
-                let _ = stream.write_all(&buf);
+                let _ = send(&mut stream, &mut buf, &Response::Goodbye);
                 // Wake the accept loop so the process exits promptly.
                 if let Some(addr) = shared.listen.get() {
                     let _ = TcpStream::connect(addr);
                 }
-                return;
+                break;
             }
         };
-        buf.clear();
-        rsp.encode(&mut buf);
-        if stream.write_all(&buf).is_err() {
-            return;
+        if !send(&mut stream, &mut buf, &rsp) {
+            break;
         }
     }
+    // Half-close, then briefly drain the peer's in-flight bytes so the
+    // final response frame is not clobbered by a reset (the backends'
+    // closing discipline).
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    let _ = stream.read(&mut [0u8; 64]);
+}
+
+/// A `protocol` refusal for a frame that did not parse.
+fn protocol_error(e: WireError) -> Response {
+    Response::Error {
+        code: ErrorCode::Protocol,
+        message: e.to_string(),
+    }
+}
+
+/// Encodes and writes one response; `false` when the peer is gone.
+fn send(stream: &mut TcpStream, buf: &mut Vec<u8>, rsp: &Response) -> bool {
+    buf.clear();
+    rsp.encode(buf);
+    stream.write_all(buf).is_ok()
 }
 
 fn main() -> ExitCode {

@@ -6,10 +6,11 @@
 //! min registers are scalars with obvious joins. This crate is the
 //! distributed layer that cashes that property in: a [`ReplicaGroup`]
 //! fans updates out to N independent `ivl_serve` backends and answers
-//! reads by pulling each replica's `SNAPSHOT` (its mergeable state
-//! plus the [`ErrorEnvelope`] in force), merging the states, and
-//! shipping one composed envelope ([`ErrorEnvelope::compose`]) instead
-//! of inventing a bound.
+//! reads by refreshing each replica's cached state over
+//! `SNAPSHOT_SINCE` (its mergeable state, or the delta since the cached
+//! epoch, plus the [`ErrorEnvelope`] in force), merging the states,
+//! and shipping one composed envelope ([`ErrorEnvelope::compose`])
+//! instead of inventing a bound.
 //!
 //! Two placement modes ([`ReplicaMode`]):
 //!
@@ -40,7 +41,8 @@
 //! both envelope sides (`ε` for a possible double count, `lag` for a
 //! possible miss).
 //!
-//! **Delta reads.** Merged queries do not re-pull full state: the
+//! **Delta reads.** Merged reads — point queries and whole merged
+//! snapshots alike — do not re-pull full state: the
 //! group keeps one cached snapshot per replica per object, keyed to
 //! the connection generation, and asks each replica `SNAPSHOT_SINCE`
 //! its cached epoch. A quiescent replica answers a tiny `Unchanged`
@@ -52,8 +54,7 @@
 //! may have landed there since the cache was taken. A reconnect (new
 //! [`Client::generation`]) invalidates the replica's cache before a
 //! base epoch is chosen, so no delta is ever applied across
-//! connections; servers predating `SNAPSHOT_SINCE` are detected by
-//! their `Protocol` refusal and served full snapshots thereafter.
+//! connections.
 //!
 //! **Catch-up (anti-entropy).** A replica that restarts comes back
 //! empty; reactive degradation alone would widen merged envelopes by
@@ -221,7 +222,9 @@ pub struct MergedRead {
 
 /// A merged snapshot: the merged mergeable state itself, with the
 /// composed envelope — what the `ivl_replicate` frontend serves for
-/// `SNAPSHOT` so groups stack.
+/// `SNAPSHOT_SINCE` so groups stack. Composed exactly like a
+/// [`MergedRead`], from the same caches under the same staleness
+/// policy.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MergedSnapshot {
     /// Object id (same on every replica by construction).
@@ -233,9 +236,12 @@ pub struct MergedSnapshot {
     /// The composed envelope (frequency `key`/`estimate` are the
     /// snapshot-form zero sentinels).
     pub envelope: ErrorEnvelope,
-    /// Per-replica acknowledged weight (`None` = unreachable).
+    /// Per-replica acknowledged weight at the state that merged
+    /// (`None` = nothing to contribute: unreachable with no cached
+    /// state).
     pub parts: Vec<Option<u64>>,
-    /// Recorded update weight of the unreachable replicas.
+    /// Acknowledged weight possibly invisible to this snapshot (see
+    /// [`MergedRead::missing_observed`]).
     pub missing_observed: u64,
 }
 
@@ -285,8 +291,8 @@ enum Proto {
     Hll(HyperLogLog),
 }
 
-/// Cumulative accounting for the delta-read path (and for full
-/// gathers, so `--no-delta` runs compare like for like).
+/// Cumulative accounting for the merged reads' `SNAPSHOT_SINCE`
+/// roundtrips.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaStats {
     /// Snapshot roundtrips that returned (delta or full).
@@ -295,8 +301,8 @@ pub struct DeltaStats {
     pub unchanged: u64,
     /// Replies that were a sparse delta (CountMin runs / HLL range).
     pub deltas: u64,
-    /// Replies that carried full state (no cache, evicted base, delta
-    /// not worth it, or a non-delta-capable replica).
+    /// Replies that carried full state (no cache, evicted base, or
+    /// delta not worth it).
     pub fulls: u64,
     /// Request bytes those roundtrips wrote, frame prefixes included.
     pub bytes_out: u64,
@@ -353,28 +359,11 @@ struct CachedSnapshot {
     /// [`Client::generation`] of the connection the cache was read
     /// over. A cache from another generation is never used as a base.
     generation: u64,
-    /// The replica's update epoch at cache time (`u64::MAX` for caches
-    /// filled over plain `SNAPSHOT`, which carries no epoch — such a
-    /// cache still merges but never serves as a delta base).
+    /// The replica's update epoch at cache time — the base of the
+    /// next `SNAPSHOT_SINCE`.
     epoch: u64,
     /// The cached state and envelope.
     snapshot: ObjectSnapshot,
-}
-
-/// The persistent merged accumulator: per-replica patches fold into it
-/// so a read on a quiescent group re-merges nothing.
-#[derive(Debug)]
-enum MergedCells {
-    Cm {
-        width: u32,
-        depth: u32,
-        hash_fp: u64,
-        cells: Vec<u64>,
-    },
-    Hll {
-        hash_fp: u64,
-        registers: Vec<u8>,
-    },
 }
 
 /// What one replica's refresh did to its cache.
@@ -413,15 +402,10 @@ pub struct ReplicaGroup {
     protos: HashMap<u32, Proto>,
     /// Per-replica, per-object cached snapshots — the delta bases.
     caches: Vec<HashMap<u32, CachedSnapshot>>,
-    /// Per-object merged accumulator over the caches.
-    accums: HashMap<u32, MergedCells>,
-    /// Cleared for a replica the first time it refuses
-    /// `SNAPSHOT_SINCE` with a `Protocol` error (a pre-delta server);
-    /// it is served plain full snapshots from then on.
-    supports_delta: Vec<bool>,
-    /// Whether merged reads use the delta path at all (`--no-delta`
-    /// benchmarking flips this off).
-    delta_reads: bool,
+    /// Per-object merged accumulator over the caches (sum or join per
+    /// [`policy_for`]): per-replica patches fold into it, so a read on
+    /// a quiescent group re-merges nothing.
+    accums: HashMap<u32, SnapshotState>,
     delta_stats: DeltaStats,
     /// Retained states awaiting a catch-up push to a rejoined replica.
     pending_pushes: Vec<PendingPush>,
@@ -482,8 +466,6 @@ impl ReplicaGroup {
             protos: HashMap::new(),
             caches: (0..n).map(|_| HashMap::new()).collect(),
             accums: HashMap::new(),
-            supports_delta: vec![true; n],
-            delta_reads: true,
             delta_stats: DeltaStats::default(),
             pending_pushes: Vec::new(),
             catchup: CatchupStats::default(),
@@ -514,14 +496,6 @@ impl ReplicaGroup {
     /// Sets the pause between reconnect attempts (default 20ms).
     pub fn set_backoff(&mut self, backoff: Duration) {
         self.backoff = backoff;
-    }
-
-    /// Turns the delta-cached read path off (on by default): merged
-    /// reads then pull full snapshots every time, as before
-    /// `SNAPSHOT_SINCE` existed — the baseline the wire-byte savings
-    /// are measured against.
-    pub fn set_delta_reads(&mut self, enabled: bool) {
-        self.delta_reads = enabled;
     }
 
     /// Cumulative snapshot-read accounting (deltas and fulls alike).
@@ -646,12 +620,7 @@ impl ReplicaGroup {
         let Some(client) = self.ensure_client(i) else {
             return Err(SendFailure::Unreached);
         };
-        let sent = if let [(key, w)] = items {
-            client.object_id(object).update(*key, *w)
-        } else {
-            client.object_id(object).batch(items)
-        };
-        match sent {
+        match client.object_id(object).batch(items) {
             Ok(_) => {
                 Ledger::bump(&mut self.ledgers[i].acked, object, weight);
                 Ok(())
@@ -757,35 +726,6 @@ impl ReplicaGroup {
                 Ok(applied)
             }
         }
-    }
-
-    /// Pulls every reachable replica's snapshot of `object`; `None`
-    /// entries are replicas that stayed unreachable after retries.
-    fn gather(&mut self, object: u32) -> Result<Vec<Option<ObjectSnapshot>>, ReplicaError> {
-        let mut parts = Vec::with_capacity(self.addrs.len());
-        for i in 0..self.addrs.len() {
-            let got = self.read_on(i, move |c| {
-                let (out0, in0) = c.wire_bytes();
-                let snap = c.snapshot(object)?;
-                let (out1, in1) = c.wire_bytes();
-                Ok((snap, out1 - out0, in1 - in0))
-            })?;
-            let snap = got.map(|(s, bytes_out, bytes_in)| {
-                self.delta_stats.reads += 1;
-                self.delta_stats.fulls += 1;
-                self.delta_stats.bytes_out += bytes_out;
-                self.delta_stats.bytes_in += bytes_in;
-                self.ledgers[i]
-                    .last_seen
-                    .insert(object, s.envelope.observed());
-                s
-            });
-            parts.push(snap);
-        }
-        if parts.iter().all(Option::is_none) {
-            return Err(ReplicaError::AllUnreachable { what: "snapshot" });
-        }
-        Ok(parts)
     }
 
     /// Refreshes every replica's cached snapshot of `object` over the
@@ -926,15 +866,12 @@ impl ReplicaGroup {
         let n = self.addrs.len();
         let mut outcomes: Vec<Option<RefreshOutcome>> = (0..n).map(|_| None).collect();
         // Phase 1: pipeline the `SNAPSHOT_SINCE` sends over every
-        // already-live delta-capable connection, so the steady-state
+        // already-live connection, so the steady-state
         // merged read costs one roundtrip total instead of one per
         // replica. Cold or failed connections fall through to the
         // sequential pass below.
         let mut sent = vec![false; n];
         for (i, sent_flag) in sent.iter_mut().enumerate() {
-            if !(self.delta_reads && self.supports_delta[i]) {
-                continue;
-            }
             let cached = self.caches[i].get(&object).map(|c| (c.epoch, c.generation));
             let Some(c) = self.clients[i].as_mut() else {
                 continue;
@@ -992,14 +929,6 @@ impl ReplicaGroup {
                     self.ledgers[i].failures += 1;
                     None
                 }
-                Err(ClientError::Server {
-                    code: ErrorCode::Protocol,
-                    ..
-                }) => {
-                    // A pre-delta server: 0x15 did not parse there.
-                    self.supports_delta[i] = false;
-                    None
-                }
                 Err(e) => {
                     self.drop_unread(&sent, i + 1);
                     return Err(e.into());
@@ -1007,8 +936,7 @@ impl ReplicaGroup {
             };
         }
         // Phase 3: anything unresolved goes through the sequential
-        // path — cold connections, failed sends or reads, pre-delta
-        // replicas.
+        // path — cold connections, failed sends or reads.
         let mut reached = vec![false; n];
         let mut rebuild = false;
         let mut patches: Vec<StatePatch> = Vec::new();
@@ -1038,9 +966,6 @@ impl ReplicaGroup {
     /// the cache's connection generation is still live, a full
     /// snapshot otherwise.
     fn refresh_one(&mut self, i: usize, object: u32) -> Result<RefreshOutcome, ReplicaError> {
-        if !(self.delta_reads && self.supports_delta[i]) {
-            return self.refresh_one_full(i, object);
-        }
         let cached = self.caches[i].get(&object).map(|c| (c.epoch, c.generation));
         let got = self.read_on(i, move |c| {
             // A cache from another connection generation is dead: its
@@ -1056,64 +981,13 @@ impl ReplicaGroup {
             let (out1, in1) = c.wire_bytes();
             Ok((delta, c.generation(), out1 - out0, in1 - in0))
         });
-        match got {
-            Ok(None) => Ok(RefreshOutcome::Unreachable),
-            Ok(Some((delta, generation, bytes_out, bytes_in))) => {
-                self.delta_stats.reads += 1;
-                self.delta_stats.bytes_out += bytes_out;
-                self.delta_stats.bytes_in += bytes_in;
-                self.apply_delta(i, object, delta, generation)
-            }
-            Err(ReplicaError::Client(ClientError::Server {
-                code: ErrorCode::Protocol,
-                ..
-            })) => {
-                // A pre-delta server: 0x15 did not parse there. Mark it
-                // and serve it plain full snapshots from now on.
-                self.supports_delta[i] = false;
-                self.refresh_one_full(i, object)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Full-snapshot refresh for replicas that cannot (or should not)
-    /// speak deltas; the cache still fills so the replica can be
-    /// served stale later, but it never becomes a delta base.
-    fn refresh_one_full(&mut self, i: usize, object: u32) -> Result<RefreshOutcome, ReplicaError> {
-        let got = self.read_on(i, move |c| {
-            let (out0, in0) = c.wire_bytes();
-            let snap = c.snapshot(object)?;
-            let (out1, in1) = c.wire_bytes();
-            Ok((snap, c.generation(), out1 - out0, in1 - in0))
-        })?;
-        let Some((snapshot, generation, bytes_out, bytes_in)) = got else {
+        let Some((delta, generation, bytes_out, bytes_in)) = got? else {
             return Ok(RefreshOutcome::Unreachable);
         };
         self.delta_stats.reads += 1;
-        self.delta_stats.fulls += 1;
         self.delta_stats.bytes_out += bytes_out;
         self.delta_stats.bytes_in += bytes_in;
-        let observed = snapshot.envelope.observed();
-        self.ledgers[i].last_seen.insert(object, observed);
-        if let Some(old) = self.caches[i].get(&object) {
-            let old_observed = old.snapshot.envelope.observed();
-            if observed < old_observed {
-                let old = self.caches[i].remove(&object).expect("just found");
-                self.note_rejoin(i, object, old.snapshot, old_observed - observed);
-            }
-        }
-        // Plain `SNAPSHOT` carries no epoch: `u64::MAX` keeps the
-        // cache mergeable without ever offering it as a base.
-        self.caches[i].insert(
-            object,
-            CachedSnapshot {
-                generation,
-                epoch: u64::MAX,
-                snapshot,
-            },
-        );
-        Ok(RefreshOutcome::Refreshed(StatePatch::Replaced))
+        self.apply_delta(i, object, delta, generation)
     }
 
     /// Applies one `SNAPSHOT_SINCE` reply to replica `i`'s cache. The
@@ -1227,124 +1101,97 @@ impl ReplicaGroup {
         rebuild: bool,
         patches: Vec<StatePatch>,
     ) -> Result<(), ReplicaError> {
-        if rebuild || (!patches.is_empty() && !self.accums.contains_key(&object)) {
-            return self.rebuild_accum(object);
-        }
-        if patches.is_empty() {
-            return Ok(());
-        }
         let mode = self.mode;
-        let mut resync = false;
-        if let Some(accum) = self.accums.get_mut(&object) {
-            'fold: for op in &patches {
-                match (op, &mut *accum) {
-                    (StatePatch::CmCells(patch), MergedCells::Cm { cells, .. }) => {
-                        for &(idx, old, new) in patch {
-                            if idx >= cells.len() || new < old {
-                                resync = true;
-                                break 'fold;
-                            }
-                            match mode {
-                                // The accumulator is the sum over
-                                // replicas; this replica's cell moved
-                                // by `new - old` (cells are monotone
-                                // within one connection).
-                                ReplicaMode::Partition => cells[idx] += new - old,
-                                ReplicaMode::Mirror => cells[idx] = cells[idx].max(new),
-                            }
+        let Some(accum) = self.accums.get_mut(&object).filter(|_| !rebuild) else {
+            return self.rebuild_accum(object);
+        };
+        for op in &patches {
+            let fits = match (op, &mut *accum) {
+                (StatePatch::CmCells(patch), SnapshotState::CountMin { cells, .. }) => {
+                    patch.iter().all(|&(idx, old, new)| {
+                        if idx >= cells.len() || new < old {
+                            return false;
                         }
-                    }
-                    (
-                        StatePatch::HllRange { lo, registers },
-                        MergedCells::Hll { registers: acc, .. },
-                    ) => {
-                        if lo + registers.len() > acc.len() {
-                            resync = true;
-                            break 'fold;
+                        match mode {
+                            // The accumulator is the sum over replicas;
+                            // this replica's cell moved by `new - old`
+                            // (cells are monotone within one
+                            // connection).
+                            ReplicaMode::Partition => cells[idx] += new - old,
+                            ReplicaMode::Mirror => cells[idx] = cells[idx].max(new),
                         }
+                        true
+                    })
+                }
+                (
+                    StatePatch::HllRange { lo, registers },
+                    SnapshotState::Hll { registers: acc, .. },
+                ) => {
+                    let fits = lo + registers.len() <= acc.len();
+                    if fits {
                         for (k, &b) in registers.iter().enumerate() {
                             acc[lo + k] = acc[lo + k].max(b);
                         }
                     }
-                    _ => {
-                        resync = true;
-                        break 'fold;
-                    }
+                    fits
                 }
+                _ => false,
+            };
+            if !fits {
+                return self.rebuild_accum(object);
             }
-        }
-        if resync {
-            return self.rebuild_accum(object);
         }
         Ok(())
     }
 
     /// Rebuilds the merged accumulator for `object` from every cached
-    /// snapshot (scalar kinds keep no accumulator — their merge is
-    /// already O(replicas)).
+    /// snapshot (dropping it when nothing is cached).
     fn rebuild_accum(&mut self, object: u32) -> Result<(), ReplicaError> {
-        let mut states: Vec<&SnapshotState> = Vec::new();
-        let mut kind = None;
-        for cache in self.caches.iter().filter_map(|m| m.get(&object)) {
-            match kind {
-                None => kind = Some(cache.snapshot.kind),
-                Some(k) if k != cache.snapshot.kind => {
-                    return Err(ReplicaError::MergeMismatch {
-                        why: format!("object {object}: replicas disagree on object kind"),
-                    });
-                }
-                Some(_) => {}
-            }
-            states.push(&cache.snapshot.state);
+        let states: Vec<&SnapshotState> = self
+            .caches
+            .iter()
+            .filter_map(|m| m.get(&object))
+            .map(|c| &c.snapshot.state)
+            .collect();
+        if states.is_empty() {
+            self.accums.remove(&object);
+            return Ok(());
         }
-        let accum = match kind {
-            None => None,
-            Some(ObjectKind::CountMin) => {
-                let (width, depth, hash_fp, cells) = cm_merge_cells(self.mode, object, &states)?;
-                Some(MergedCells::Cm {
-                    width,
-                    depth,
-                    hash_fp,
-                    cells,
-                })
+        let merged = merge_states(policy_for(self.mode), &states).map_err(|e| {
+            ReplicaError::MergeMismatch {
+                why: format!("object {object}: {e}"),
             }
-            Some(ObjectKind::Hll) => {
-                let (hash_fp, registers) = hll_merge_registers(object, &states)?;
-                Some(MergedCells::Hll { hash_fp, registers })
-            }
-            Some(ObjectKind::Morris | ObjectKind::MinRegister) => None,
-        };
-        match accum {
-            Some(a) => {
-                self.accums.insert(object, a);
-            }
-            None => {
-                self.accums.remove(&object);
-            }
-        }
+        })?;
+        self.accums.insert(object, merged);
         Ok(())
     }
 
-    /// Composes a merged read from the caches — the fast path behind
-    /// [`query`](Self::query). `reached[i]` says whether replica `i`
-    /// answered this round; a cached-but-silent replica still
-    /// contributes its cells, with the weight that may have landed
-    /// there since the cache was taken priced into `lag`.
+    /// Composes a merged read from the caches and the accumulator —
+    /// the one compose step behind [`query`](Self::query) (`key` picks
+    /// the frequency point estimate) and
+    /// [`snapshot_merged`](Self::snapshot_merged) (`None` keeps the
+    /// snapshot-form zero sentinels). Returns the read together with
+    /// the merged state. `reached[i]` says whether replica `i` answered
+    /// this round; a cached-but-silent replica still contributes its
+    /// cells, with the weight that may have landed there since the
+    /// cache was taken priced into `lag`.
     fn answer_cached(
         &mut self,
         object: u32,
-        key: u64,
+        key: Option<u64>,
         reached: &[bool],
-    ) -> Result<MergedRead, ReplicaError> {
+    ) -> Result<(MergedRead, &SnapshotState), ReplicaError> {
         let n = self.addrs.len();
         let mut kind: Option<ObjectKind> = None;
         let mut envelopes = Vec::new();
         let mut parts: Vec<Option<u64>> = vec![None; n];
         let mut missing = 0u64; // unreachable with nothing cached
         let mut stale = 0u64; // cached but silent this round
+        let mut mirror_missed: Option<u64> = None; // min over included
         for i in 0..n {
-            let known = Ledger::get(&self.ledgers[i].acked, object)
-                .max(Ledger::get(&self.ledgers[i].last_seen, object));
+            let ledger = &self.ledgers[i];
+            let known =
+                Ledger::get(&ledger.acked, object).max(Ledger::get(&ledger.last_seen, object));
             match self.caches[i].get(&object) {
                 Some(cache) => {
                     match kind {
@@ -1356,11 +1203,18 @@ impl ReplicaGroup {
                         }
                         Some(_) => {}
                     }
+                    let observed = cache.snapshot.envelope.observed();
                     envelopes.push(cache.snapshot.envelope.clone());
-                    parts[i] = Some(cache.snapshot.envelope.observed());
+                    parts[i] = Some(observed);
                     if !reached[i] {
-                        stale += known.saturating_sub(cache.snapshot.envelope.observed());
+                        stale += known.saturating_sub(observed);
                     }
+                    // Mirror-mode under-count bound: every included
+                    // replica saw all acknowledged weight except what
+                    // it missed, so the max-merge undershoots by at
+                    // most the *smallest* miss among them.
+                    let missed = Ledger::get(&ledger.missed, object);
+                    mirror_missed = Some(mirror_missed.map_or(missed, |m| m.min(missed)));
                 }
                 None => missing += known,
             }
@@ -1370,34 +1224,31 @@ impl ReplicaGroup {
         };
         let doubt = self.doubt(object);
         let lost = self.lost(object);
-        let mirror_missed = (0..n)
-            .filter(|&i| parts[i].is_some())
-            .map(|i| Ledger::get(&self.ledgers[i].missed, object))
-            .min()
-            .unwrap_or(0);
-        let envelope = match kind {
-            ObjectKind::CountMin => {
-                let Some(MergedCells::Cm {
+        let mode = self.mode;
+        let lost_sync = || ReplicaError::MergeMismatch {
+            why: format!("object {object}: merged accumulator lost sync with caches"),
+        };
+        let state = self.accums.get(&object).ok_or_else(lost_sync)?;
+        let envelope = match (kind, state) {
+            (
+                ObjectKind::CountMin,
+                SnapshotState::CountMin {
                     width,
                     depth,
                     hash_fp,
                     cells,
-                }) = self.accums.get(&object)
-                else {
-                    return Err(ReplicaError::MergeMismatch {
-                        why: format!("object {object}: merged accumulator lost sync with caches"),
-                    });
-                };
-                let (widen_lag, widen_eps) = match self.mode {
+                },
+            ) => {
+                let (widen_lag, widen_eps) = match mode {
                     ReplicaMode::Partition => (missing + doubt + stale + lost, doubt),
-                    ReplicaMode::Mirror => (mirror_missed + stale + lost, 0),
+                    ReplicaMode::Mirror => (mirror_missed.unwrap_or(0) + stale + lost, 0),
                 };
                 cm_compose(
                     &mut self.protos,
                     self.seed,
-                    self.mode,
+                    mode,
                     object,
-                    Some(key),
+                    key,
                     (*width, *depth, *hash_fp),
                     cells,
                     &envelopes,
@@ -1405,59 +1256,31 @@ impl ReplicaGroup {
                     widen_eps,
                 )?
             }
-            ObjectKind::Hll => {
-                let Some(MergedCells::Hll { hash_fp, registers }) = self.accums.get(&object) else {
-                    return Err(ReplicaError::MergeMismatch {
-                        why: format!("object {object}: merged accumulator lost sync with caches"),
-                    });
-                };
-                hll_compose(
-                    &mut self.protos,
-                    self.seed,
-                    self.mode,
-                    object,
-                    *hash_fp,
-                    registers,
-                    &envelopes,
-                )?
+            (ObjectKind::Hll, SnapshotState::Hll { hash_fp, registers }) => hll_compose(
+                &mut self.protos,
+                self.seed,
+                mode,
+                object,
+                *hash_fp,
+                registers,
+                &envelopes,
+            )?,
+            (ObjectKind::Morris, SnapshotState::Morris { exponent }) => {
+                morris_compose(object, *exponent, &envelopes, mode)?
             }
-            ObjectKind::Morris | ObjectKind::MinRegister => {
-                let included: Vec<&ObjectSnapshot> = self
-                    .caches
-                    .iter()
-                    .filter_map(|m| m.get(&object))
-                    .map(|c| &c.snapshot)
-                    .collect();
-                let (_, envelope) = if kind == ObjectKind::Morris {
-                    merge_morris(object, &included, &envelopes, self.mode)?
-                } else {
-                    merge_min(object, &included, &envelopes, self.mode)?
-                };
-                envelope
+            (ObjectKind::MinRegister, SnapshotState::MinRegister { minimum }) => {
+                min_compose(object, *minimum, &envelopes, mode)?
             }
+            _ => return Err(lost_sync()),
         };
-        Ok(MergedRead {
+        let read = MergedRead {
             envelope,
             reached: reached.iter().filter(|&&r| r).count(),
             total: n,
             parts,
             missing_observed: missing + stale + lost,
-        })
-    }
-
-    /// The weight the merge cannot see: each unreachable replica's
-    /// recorded update count — the larger of what this group routed to
-    /// it and what its last snapshot reported.
-    fn missing_observed(&self, object: u32, parts: &[Option<ObjectSnapshot>]) -> u64 {
-        parts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_none())
-            .map(|(i, _)| {
-                Ledger::get(&self.ledgers[i].acked, object)
-                    .max(Ledger::get(&self.ledgers[i].last_seen, object))
-            })
-            .sum()
+        };
+        Ok((read, state))
     }
 
     /// Total in-doubt weight for `object` (partition failovers whose
@@ -1479,158 +1302,29 @@ impl ReplicaGroup {
             .sum()
     }
 
-    /// Mirror-mode under-count bound: every included replica saw all
-    /// acknowledged weight except what it missed, so the max-merge
-    /// undershoots by at most the *smallest* miss among them.
-    fn mirror_missed(&self, object: u32, parts: &[Option<ObjectSnapshot>]) -> u64 {
-        parts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_some())
-            .map(|(i, _)| Ledger::get(&self.ledgers[i].missed, object))
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Merges gathered snapshots into one state + composed envelope.
-    /// `key` picks the frequency point estimate; `None` keeps the
-    /// snapshot-form zero sentinels.
-    fn merge_parts(
-        &mut self,
-        object: u32,
-        key: Option<u64>,
-        parts: Vec<Option<ObjectSnapshot>>,
-    ) -> Result<MergedSnapshot, ReplicaError> {
-        let included: Vec<&ObjectSnapshot> = parts.iter().flatten().collect();
-        let kind = included[0].kind;
-        if included.iter().any(|s| s.kind != kind) {
-            return Err(ReplicaError::MergeMismatch {
-                why: format!("object {object}: replicas disagree on object kind"),
-            });
-        }
-        let missing = self.missing_observed(object, &parts);
-        let doubt = self.doubt(object);
-        let lost = self.lost(object);
-        let mirror_missed = self.mirror_missed(object, &parts);
-        let envelopes: Vec<ErrorEnvelope> = included.iter().map(|s| s.envelope.clone()).collect();
-
-        let (state, envelope) = match kind {
-            ObjectKind::CountMin => self.merge_count_min(
-                object,
-                key,
-                &included,
-                &envelopes,
-                missing + lost,
-                doubt,
-                mirror_missed + lost,
-            )?,
-            ObjectKind::Hll => self.merge_hll(object, &included, &envelopes)?,
-            ObjectKind::Morris => merge_morris(object, &included, &envelopes, self.mode)?,
-            ObjectKind::MinRegister => merge_min(object, &included, &envelopes, self.mode)?,
-        };
+    /// A merged snapshot of `object`: the same refresh and compose as
+    /// [`query`](Self::query), returning the merged state itself.
+    pub fn snapshot_merged(&mut self, object: u32) -> Result<MergedSnapshot, ReplicaError> {
+        let reached = self.refresh(object)?;
+        let (read, state) = self.answer_cached(object, None, &reached)?;
         Ok(MergedSnapshot {
             object,
-            kind,
-            state,
-            envelope,
-            parts: parts
-                .iter()
-                .map(|p| p.as_ref().map(|s| s.envelope.observed()))
-                .collect(),
-            missing_observed: missing,
+            kind: state.kind(),
+            state: state.clone(),
+            envelope: read.envelope,
+            parts: read.parts,
+            missing_observed: read.missing_observed,
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn merge_count_min(
-        &mut self,
-        object: u32,
-        key: Option<u64>,
-        included: &[&ObjectSnapshot],
-        envelopes: &[ErrorEnvelope],
-        missing: u64,
-        doubt: u64,
-        mirror_missed: u64,
-    ) -> Result<(SnapshotState, ErrorEnvelope), ReplicaError> {
-        let states: Vec<&SnapshotState> = included.iter().map(|s| &s.state).collect();
-        let (width, depth, hash_fp, merged) = cm_merge_cells(self.mode, object, &states)?;
-        let (widen_lag, widen_eps) = match self.mode {
-            ReplicaMode::Partition => (missing + doubt, doubt),
-            ReplicaMode::Mirror => (mirror_missed, 0),
-        };
-        let envelope = cm_compose(
-            &mut self.protos,
-            self.seed,
-            self.mode,
-            object,
-            key,
-            (width, depth, hash_fp),
-            &merged,
-            envelopes,
-            widen_lag,
-            widen_eps,
-        )?;
-        let state = SnapshotState::CountMin {
-            width,
-            depth,
-            hash_fp,
-            cells: merged,
-        };
-        Ok((state, envelope))
-    }
-
-    fn merge_hll(
-        &mut self,
-        object: u32,
-        included: &[&ObjectSnapshot],
-        envelopes: &[ErrorEnvelope],
-    ) -> Result<(SnapshotState, ErrorEnvelope), ReplicaError> {
-        let states: Vec<&SnapshotState> = included.iter().map(|s| &s.state).collect();
-        let (hash_fp, merged) = hll_merge_registers(object, &states)?;
-        let envelope = hll_compose(
-            &mut self.protos,
-            self.seed,
-            self.mode,
-            object,
-            hash_fp,
-            &merged,
-            envelopes,
-        )?;
-        Ok((
-            SnapshotState::Hll {
-                hash_fp,
-                registers: merged,
-            },
-            envelope,
-        ))
-    }
-
-    /// A merged snapshot of `object` over the reachable replicas.
-    pub fn snapshot_merged(&mut self, object: u32) -> Result<MergedSnapshot, ReplicaError> {
-        let parts = self.gather(object)?;
-        self.merge_parts(object, None, parts)
-    }
-
     /// Answers a query for `key` on `object` by merging the replicas'
-    /// states — the group's read primitive. With delta reads on (the
-    /// default) each replica is asked only what changed since its
-    /// cached epoch; quiescent replicas answer a tiny `Unchanged`
-    /// frame and the persistent accumulator re-merges nothing.
+    /// states — the group's read primitive. Each replica is asked only
+    /// what changed since its cached epoch; quiescent replicas answer a
+    /// tiny `Unchanged` frame and the persistent accumulator re-merges
+    /// nothing.
     pub fn query(&mut self, object: u32, key: u64) -> Result<MergedRead, ReplicaError> {
-        if !self.delta_reads {
-            let parts = self.gather(object)?;
-            let total = parts.len();
-            let merged = self.merge_parts(object, Some(key), parts)?;
-            return Ok(MergedRead {
-                reached: merged.parts.iter().flatten().count(),
-                total,
-                envelope: merged.envelope,
-                parts: merged.parts,
-                missing_observed: merged.missing_observed,
-            });
-        }
         let reached = self.refresh(object)?;
-        self.answer_cached(object, key, &reached)
+        Ok(self.answer_cached(object, Some(key), &reached)?.0)
     }
 
     /// The object roster, from the first reachable replica (rosters
@@ -1726,33 +1420,6 @@ fn hll_proto_for(
     }
 }
 
-/// Cell-merges CountMin states through the mergeable-state layer (sum
-/// in partition, max in mirror — [`policy_for`]) after it checks they
-/// share dimensions and coins. Returns
-/// `(width, depth, hash_fp, merged_cells)`.
-fn cm_merge_cells(
-    mode: ReplicaMode,
-    object: u32,
-    states: &[&SnapshotState],
-) -> Result<(u32, u32, u64, Vec<u64>), ReplicaError> {
-    let merged =
-        merge_states(policy_for(mode), states).map_err(|e| ReplicaError::MergeMismatch {
-            why: format!("object {object}: {e}"),
-        })?;
-    let SnapshotState::CountMin {
-        width,
-        depth,
-        hash_fp,
-        cells,
-    } = merged
-    else {
-        return Err(ReplicaError::MergeMismatch {
-            why: format!("object {object}: kind tag and state disagree"),
-        });
-    };
-    Ok((width, depth, hash_fp, cells))
-}
-
 /// Composes the CountMin envelope for already-merged cells: derives
 /// the point estimate from them, composes the parts' envelopes, and
 /// widens `lag` by `widen_lag` and `ε` by `widen_eps` (the weight the
@@ -1841,25 +1508,6 @@ fn cm_compose(
     }
 }
 
-/// Register-merges HLL states through the mergeable-state layer (max
-/// in both modes — the register join is idempotent) after it checks
-/// they share precision and coins. Returns `(hash_fp, merged_registers)`.
-fn hll_merge_registers(
-    object: u32,
-    states: &[&SnapshotState],
-) -> Result<(u64, Vec<u8>), ReplicaError> {
-    let merged =
-        merge_states(MergePolicy::Join, states).map_err(|e| ReplicaError::MergeMismatch {
-            why: format!("object {object}: {e}"),
-        })?;
-    let SnapshotState::Hll { hash_fp, registers } = merged else {
-        return Err(ReplicaError::MergeMismatch {
-            why: format!("object {object}: kind tag and state disagree"),
-        });
-    };
-    Ok((hash_fp, registers))
-}
-
 /// Composes the cardinality envelope for already-merged HLL registers.
 fn hll_compose(
     protos: &mut HashMap<u32, Proto>,
@@ -1892,25 +1540,15 @@ fn hll_compose(
 
 /// Morris merge: envelope-level (the exponent is the state). Partition
 /// sums the unbiased estimates over disjoint substreams; mirror keeps
-/// the max. The merged state keeps the max exponent as the monotone
-/// indicator in both modes.
-fn merge_morris(
+/// the max. The merged state (`exp_max`) keeps the max exponent as the
+/// monotone indicator in both modes.
+fn morris_compose(
     object: u32,
-    included: &[&ObjectSnapshot],
+    exp_max: u32,
     envelopes: &[ErrorEnvelope],
     mode: ReplicaMode,
-) -> Result<(SnapshotState, ErrorEnvelope), ReplicaError> {
-    let states: Vec<&SnapshotState> = included.iter().map(|s| &s.state).collect();
-    let merged =
-        merge_states(MergePolicy::Join, &states).map_err(|e| ReplicaError::MergeMismatch {
-            why: format!("object {object}: {e}"),
-        })?;
-    let SnapshotState::Morris { exponent: exp_max } = merged else {
-        return Err(ReplicaError::MergeMismatch {
-            why: format!("object {object}: kind tag and state disagree"),
-        });
-    };
-    let envelope = match mode {
+) -> Result<ErrorEnvelope, ReplicaError> {
+    Ok(match mode {
         ReplicaMode::Partition => ErrorEnvelope::compose(envelopes)?,
         ReplicaMode::Mirror => {
             let (mut est, mut a_param, mut obs) = (0.0f64, None, 0u64);
@@ -1943,30 +1581,19 @@ fn merge_morris(
                 observed: obs,
             }
         }
-    };
-    Ok((SnapshotState::Morris { exponent: exp_max }, envelope))
+    })
 }
 
-/// Min-register merge: the union minimum is the min of part minima in
-/// both modes; `observed` sums over disjoint substreams and maxes over
-/// mirrored copies.
-fn merge_min(
+/// Min-register merge: the union minimum (`min`, the merged state) is
+/// the min of part minima in both modes; `observed` sums over disjoint
+/// substreams and maxes over mirrored copies.
+fn min_compose(
     object: u32,
-    included: &[&ObjectSnapshot],
+    min: u64,
     envelopes: &[ErrorEnvelope],
     mode: ReplicaMode,
-) -> Result<(SnapshotState, ErrorEnvelope), ReplicaError> {
-    let states: Vec<&SnapshotState> = included.iter().map(|s| &s.state).collect();
-    let merged =
-        merge_states(MergePolicy::Join, &states).map_err(|e| ReplicaError::MergeMismatch {
-            why: format!("object {object}: {e}"),
-        })?;
-    let SnapshotState::MinRegister { minimum: min } = merged else {
-        return Err(ReplicaError::MergeMismatch {
-            why: format!("object {object}: kind tag and state disagree"),
-        });
-    };
-    let envelope = match mode {
+) -> Result<ErrorEnvelope, ReplicaError> {
+    Ok(match mode {
         ReplicaMode::Partition => ErrorEnvelope::compose(envelopes)?,
         ReplicaMode::Mirror => {
             let mut obs = 0u64;
@@ -1983,8 +1610,7 @@ fn merge_min(
                 observed: obs,
             }
         }
-    };
-    Ok((SnapshotState::MinRegister { minimum: min }, envelope))
+    })
 }
 
 #[cfg(test)]

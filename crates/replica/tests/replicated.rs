@@ -5,11 +5,12 @@
 //! might have landed since, no wrong values) instead of erroring.
 //! Exercised on both serving backends.
 
-use ivl_replica::{ReplicaError, ReplicaGroup, ReplicaMode};
+use ivl_replica::{MergedSnapshot, ReplicaError, ReplicaGroup, ReplicaMode};
 use ivl_service::{
     objects::{ObjectConfig, ObjectKind},
-    Backend, ErrorEnvelope, ServerConfig, ServerHandle,
+    slot_coins, Backend, ErrorEnvelope, ServerConfig, ServerHandle, SnapshotState,
 };
+use ivl_sketch::countmin::{CountMin, CountMinParams};
 use std::time::Duration;
 
 const SEED: u64 = 11;
@@ -487,6 +488,108 @@ fn morris_merges_at_the_envelope_level() {
         }
         other => panic!("wanted approx-count envelope, got {other:?}"),
     }
+    drop(group);
+    for r in replicas {
+        drop(r.join());
+    }
+}
+
+/// Every key's point estimate, derived from a merged CountMin snapshot
+/// with the group seed's hash functions and wrapped in the snapshot's
+/// envelope, must cover that key's true frequency.
+fn assert_snapshot_covers(snap: &MergedSnapshot, truth: &[u64]) {
+    let SnapshotState::CountMin {
+        width,
+        depth,
+        cells,
+        ..
+    } = &snap.state
+    else {
+        panic!("wanted a CountMin state, got {:?}", snap.state);
+    };
+    let params = CountMinParams {
+        width: *width as usize,
+        depth: *depth as usize,
+    };
+    let proto = CountMin::new(params, &mut slot_coins(SEED, snap.object));
+    for (key, &freq) in truth.iter().enumerate() {
+        let mut env = *snap.envelope.frequency().expect("frequency envelope");
+        env.key = key as u64;
+        env.estimate = (0..*depth as usize)
+            .map(|row| cells[proto.cell_index(row, key as u64)])
+            .min()
+            .expect("depth >= 1");
+        assert!(
+            env.covers(freq, freq),
+            "merged snapshot estimate {} (eps {}, lag {}) does not cover key {key}'s {freq}",
+            env.estimate,
+            env.epsilon,
+            env.lag
+        );
+    }
+}
+
+#[test]
+fn merged_snapshots_take_the_delta_path_and_degrade_like_queries() {
+    let mut replicas: Vec<ServerHandle> = (0..3)
+        .map(|_| spawn_replica(Backend::Threaded, SEED))
+        .collect();
+    let mut group = group_over(&replicas, ReplicaMode::Partition);
+    let mut truth = [0u64; 16];
+    for k in 0..16u64 {
+        group.update(0, k, k + 1).expect("partitioned update");
+        truth[k as usize] += k + 1;
+    }
+    let total: u64 = truth.iter().sum();
+
+    // The first merged snapshot fills the caches with full replies.
+    let snap = group.snapshot_merged(0).expect("merged snapshot");
+    assert_eq!((snap.object, snap.kind), (0, ObjectKind::CountMin));
+    assert_eq!(snap.parts.iter().flatten().sum::<u64>(), total);
+    assert_eq!(snap.missing_observed, 0);
+    assert_snapshot_covers(&snap, &truth);
+
+    // A quiescent group answers repeat snapshots off the epoch fast
+    // path: every replica replies `Unchanged`, no full state moves.
+    let before = group.delta_stats();
+    for _ in 0..3 {
+        let again = group.snapshot_merged(0).expect("repeat merged snapshot");
+        assert_eq!(again.state, snap.state, "nothing moved");
+    }
+    let after = group.delta_stats();
+    assert_eq!(
+        after.unchanged - before.unchanged,
+        9,
+        "3 replicas x 3 reads"
+    );
+    assert_eq!(after.fulls, before.fulls, "no full snapshot re-pulled");
+
+    // Kill a cached replica: the merged snapshot keeps its cached cells
+    // (the same staleness-as-lag policy as queries) instead of dropping
+    // its substream.
+    let victim = replicas.remove(0);
+    group.disconnect(0);
+    drop(victim.join());
+    let degraded = group.snapshot_merged(0).expect("degraded merged snapshot");
+    assert!(
+        degraded.parts.iter().all(|p| p.is_some()),
+        "the dead replica still contributes its cached state"
+    );
+    assert_eq!(degraded.missing_observed, 0);
+    assert_eq!(degraded.state, snap.state);
+    assert_snapshot_covers(&degraded, &truth);
+
+    // Updates fail over past the dead replica; the snapshot still
+    // covers the union of everything acknowledged.
+    for k in 0..16u64 {
+        group.update(0, k, 1).expect("failover update");
+        truth[k as usize] += 1;
+    }
+    let degraded = group
+        .snapshot_merged(0)
+        .expect("post-failover merged snapshot");
+    assert_snapshot_covers(&degraded, &truth);
+
     drop(group);
     for r in replicas {
         drop(r.join());

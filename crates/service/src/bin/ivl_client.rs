@@ -14,7 +14,7 @@
 //!   shutdown                  drain the server
 //!
 //! --object NAME routes update/query/batch to a named registered
-//! object (default: object 0, the v1-compatible CountMin).
+//! object (default: object 0, the default CountMin).
 //! ```
 
 use ivl_service::client::Client;

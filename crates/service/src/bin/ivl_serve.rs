@@ -23,7 +23,7 @@
 //!   --object       register a named object (repeatable). KIND is one
 //!                  of cm|hll|morris|min; object 0 must be a cm (the
 //!                  default "cm=cm" if the first --object is not one).
-//!                  v1 clients always address object 0.
+//!                  Handle-less client calls address object 0.
 //! ```
 
 use ivl_service::objects::ObjectConfig;
@@ -97,7 +97,7 @@ fn main() -> ExitCode {
     }
     if !objects.is_empty() {
         if objects[0].kind != ivl_service::objects::ObjectKind::CountMin {
-            // Object 0 anchors v1 compatibility; keep the default
+            // Object 0 is always a CountMin; keep the default
             // CountMin in front when the user leads with another kind.
             objects.insert(0, ObjectConfig::default());
         }

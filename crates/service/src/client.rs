@@ -4,17 +4,17 @@
 //! [`Client::batch`] to amortize round trips, or several clients for
 //! concurrency — the server shards per connection.
 //!
-//! The v1-era methods ([`Client::update`], [`Client::batch`],
-//! [`Client::query`]) address object 0 — always the default CountMin
-//! — and emit byte-identical v1 frames, so they interoperate with v1
-//! servers unchanged. To reach other registered objects, resolve a
-//! handle by name with [`Client::object`] (or by id with
-//! [`Client::object_id`]) and issue requests through it; handles
-//! share the connection, so only one may be in flight at a time.
+//! The bare methods ([`Client::update`], [`Client::batch`],
+//! [`Client::query`]) address object 0 — always the default CountMin.
+//! To reach other registered objects, resolve a handle by name with
+//! [`Client::object`] (or by id with [`Client::object_id`]) and issue
+//! requests through it; handles share the connection, so only one may
+//! be in flight at a time. Every object travels in the same
+//! object-addressed frames, and a single update is a one-item batch.
 
 use crate::envelope::{Envelope, ErrorEnvelope};
 use crate::metrics::StatsReport;
-use crate::objects::{ObjectInfo, ObjectSnapshot, SnapshotDelta, SnapshotState};
+use crate::objects::{ObjectInfo, SnapshotDelta, SnapshotState};
 use crate::protocol::{self, ErrorCode, FrameDecoder, Request, Response, WireError};
 use std::fmt;
 use std::io::{self, Write};
@@ -225,17 +225,6 @@ impl Client {
         }
     }
 
-    fn update_object(&mut self, object: u32, key: u64, weight: u64) -> Result<u64, ClientError> {
-        match self.roundtrip(&Request::Update {
-            object,
-            key,
-            weight,
-        })? {
-            Response::Ack { applied } => Ok(applied),
-            _ => Err(ClientError::Unexpected("wanted ACK")),
-        }
-    }
-
     fn batch_object(&mut self, object: u32, items: &[(u64, u64)]) -> Result<u64, ClientError> {
         match self.roundtrip(&Request::Batch {
             object,
@@ -250,13 +239,6 @@ impl Client {
         match self.roundtrip_idempotent(&Request::Query { object, key })? {
             Response::Envelope(env) => Ok(env),
             _ => Err(ClientError::Unexpected("wanted ENVELOPE")),
-        }
-    }
-
-    fn snapshot_object(&mut self, object: u32) -> Result<ObjectSnapshot, ClientError> {
-        match self.roundtrip_idempotent(&Request::Snapshot { object })? {
-            Response::Snapshot(snap) => Ok(snap),
-            _ => Err(ClientError::Unexpected("wanted SNAPSHOT_REPLY")),
         }
     }
 
@@ -275,7 +257,7 @@ impl Client {
     /// default CountMin); returns the connection's cumulative
     /// applied-update count.
     pub fn update(&mut self, key: u64, weight: u64) -> Result<u64, ClientError> {
-        self.update_object(0, key, weight)
+        self.batch_object(0, &[(key, weight)])
     }
 
     /// Ingests many pairs under one frame (at most
@@ -294,16 +276,10 @@ impl Client {
         }
     }
 
-    /// Pulls a mergeable snapshot of object `object`'s state plus its
-    /// current envelope — the replication layer's read primitive.
-    pub fn snapshot(&mut self, object: u32) -> Result<ObjectSnapshot, ClientError> {
-        self.snapshot_object(object)
-    }
-
     /// Asks object `object` what changed since `base_epoch` — the
-    /// delta-capable snapshot read. Pass `u64::MAX` (never a real
-    /// epoch) when holding no cached state; the reply is then a full
-    /// state. Beware reconnects: the retry inside is fine (the request
+    /// replication layer's read primitive. Pass `u64::MAX` (never a
+    /// real epoch) when holding no cached state; the reply is then the
+    /// full mergeable state plus its current envelope. Beware reconnects: the retry inside is fine (the request
     /// carries the base), but a cache written under an older
     /// [`generation`](Self::generation) must be invalidated *before*
     /// choosing `base_epoch`.
@@ -412,8 +388,8 @@ impl Client {
 ///
 /// Borrows the client, so requests remain lockstep: drop the handle
 /// (or let it fall out of scope) before issuing object-0 calls on the
-/// client directly. Handles for object 0 emit the same v1 frames the
-/// bare client methods do.
+/// client directly. Handles for object 0 emit the same frames the bare
+/// client methods do.
 #[derive(Debug)]
 pub struct ObjectHandle<'a> {
     client: &'a mut Client,
@@ -429,7 +405,7 @@ impl ObjectHandle<'_> {
     /// Ingests `weight` occurrences of `key` into this object;
     /// returns the connection's cumulative applied-update count.
     pub fn update(&mut self, key: u64, weight: u64) -> Result<u64, ClientError> {
-        self.client.update_object(self.object, key, weight)
+        self.client.batch_object(self.object, &[(key, weight)])
     }
 
     /// Ingests many pairs under one frame (at most
@@ -443,11 +419,6 @@ impl ObjectHandle<'_> {
     /// envelope form.
     pub fn query(&mut self, key: u64) -> Result<ErrorEnvelope, ClientError> {
         self.client.query_object(self.object, key)
-    }
-
-    /// Pulls a mergeable snapshot of this object's state.
-    pub fn snapshot(&mut self) -> Result<ObjectSnapshot, ClientError> {
-        self.client.snapshot_object(self.object)
     }
 
     /// Asks this object what changed since `base_epoch` (see
@@ -501,7 +472,7 @@ mod tests {
                                 lag: 0,
                             }))
                         }
-                        Request::Update { .. } => Response::Ack { applied: 1 },
+                        Request::Batch { .. } => Response::Ack { applied: 1 },
                         other => panic!("fixture got {other:?}"),
                     };
                     let mut buf = Vec::new();

@@ -17,14 +17,14 @@
 //!   writes). Either way each single-writer CountMin shard has
 //!   exactly one writing thread, so ingest is plain atomic stores —
 //!   no RMW, no lock — and the lease pool doubles as backpressure.
-//! * [`protocol`] — a compact length-prefixed binary wire format.
-//!   v1 frames (`UPDATE`/`QUERY`/`BATCH`/`STATS`/`SHUTDOWN`) address
-//!   object 0; v2 frames (`UPDATE2`/`QUERY2`/`BATCH2`/`OBJECTS`/
-//!   `SNAPSHOT`) carry an explicit object id, and object-0 requests
-//!   still encode in v1 form byte for byte, so old clients and
-//!   servers interoperate. `SNAPSHOT` serializes an object's
-//!   mergeable state for the replication layer (`ivl-replica`), and
-//!   `PUSH_STATE` carries a peer's state the other way — the absorb
+//! * [`protocol`] — a compact length-prefixed binary wire format
+//!   with one encoding per operation: `QUERY2`/`BATCH2`/
+//!   `SNAPSHOT_SINCE`/`PUSH_STATE` carry an explicit object id (a
+//!   single update is a one-item `BATCH2`), `STATS`/`OBJECTS`/
+//!   `SHUTDOWN` carry none. `SNAPSHOT_SINCE` serializes an object's
+//!   mergeable state (or its delta against a cached epoch) for the
+//!   replication layer (`ivl-replica`), and `PUSH_STATE` carries a
+//!   peer's state the other way — the absorb
 //!   half of replica catch-up (anti-entropy). State bodies encode and
 //!   decode through the [`MergeableState`] trait of `ivl-merge`, so
 //!   their byte layout lives in exactly one place.

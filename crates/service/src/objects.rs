@@ -5,7 +5,7 @@
 //! made operational for the service: a [`ServedObject`] is any
 //! quantitative object the server can route wire requests to, an
 //! [`ObjectRegistry`] holds the named instances (object ids are
-//! registry indices, carried in every protocol-v2 frame), and each
+//! registry indices, carried in every object-addressed frame), and each
 //! object supplies its own error-envelope form
 //! ([`crate::envelope::ErrorEnvelope`]) plus a sequential spec for
 //! verifying *its own projection* of a recorded run. The server checks
@@ -16,8 +16,8 @@
 //!
 //! * `cm` — the sharded CountMin ([`ServedCountMin`]): single-writer
 //!   shard leases, optional write buffering, the Theorem 6 frequency
-//!   envelope. Object 0 is always a CountMin so protocol-v1 frames
-//!   (which carry no object id) keep their exact old meaning.
+//!   envelope. Object 0 is always a CountMin, the target of the
+//!   client's bare (handle-less) methods.
 //! * `hll` — [`ivl_concurrent::ConcurrentHll`]: `fetch_max` registers,
 //!   cardinality envelope with the standard-error bound, and the
 //!   monotone register-sum indicator as the checkable query value.
@@ -100,7 +100,7 @@ impl ObjectConfig {
 }
 
 impl Default for ObjectConfig {
-    /// The default v1-compatible roster entry: a CountMin named "cm".
+    /// The default roster entry: a CountMin named "cm".
     fn default() -> Self {
         ObjectConfig::new("cm", ObjectKind::CountMin)
     }
@@ -126,7 +126,7 @@ impl std::str::FromStr for ObjectConfig {
 /// A registry row as listed over the wire by `OBJECTS`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObjectInfo {
-    /// Object id (the registry index carried in v2 frames).
+    /// Object id (the registry index carried in object-addressed frames).
     pub id: u32,
     /// Object kind.
     pub kind: ObjectKind,
@@ -284,7 +284,7 @@ pub trait ServedObject: Send + Sync + fmt::Debug {
         None
     }
 
-    /// Downcast hook for the CountMin (tests and the v1 compatibility
+    /// Downcast hook for the CountMin (tests and the object-0 checker
     /// surface reach its sketch and spec through this).
     fn as_count_min(&self) -> Option<&ServedCountMin> {
         None
@@ -321,9 +321,8 @@ pub struct ObjectVerdict {
 }
 
 /// The named objects one server instance routes to. Object ids are
-/// indices into this registry and appear verbatim in v2 frames;
-/// object 0 is always a CountMin so v1 (object-id-less) frames keep
-/// their original meaning.
+/// indices into this registry and appear verbatim in every
+/// object-addressed frame; object 0 is always a CountMin.
 pub struct ObjectRegistry {
     entries: Vec<(String, Box<dyn ServedObject>)>,
 }
@@ -358,7 +357,7 @@ impl ObjectRegistry {
         assert_eq!(
             objects[0].kind,
             ObjectKind::CountMin,
-            "object 0 must be a CountMin (the v1 frame target)"
+            "object 0 must be a CountMin (the default object)"
         );
         let mut entries: Vec<(String, Box<dyn ServedObject>)> = Vec::with_capacity(objects.len());
         for (idx, oc) in objects.iter().enumerate() {
@@ -413,7 +412,8 @@ impl ObjectRegistry {
         self.get(id).and_then(ServedObject::as_count_min)
     }
 
-    /// A `SNAPSHOT` reply for object `id` (`None` for unknown ids).
+    /// Object `id`'s full mergeable state and envelope (`None` for
+    /// unknown ids).
     pub fn snapshot(&self, id: u32) -> Option<ObjectSnapshot> {
         self.get(id).map(|o| {
             let (state, envelope) = o.snapshot();

@@ -9,35 +9,27 @@
 //! at the next frame boundary. Only a corrupted length prefix
 //! (truncated or oversized) forces the connection closed.
 //!
-//! Two request generations share the stream (see README for the frame
-//! tables). **v1** opcodes carry no object id and always address
-//! object 0: `UPDATE` 0x01, `QUERY` 0x02, `BATCH` 0x03, `STATS` 0x04,
-//! `SHUTDOWN` 0x05. **v2** opcodes lead their body with a `u32` object
-//! id (a registry index): `OBJECTS` 0x06, `UPDATE2` 0x11, `QUERY2`
-//! 0x12, `BATCH2` 0x13, `SNAPSHOT` 0x14, `SNAPSHOT_SINCE` 0x15,
-//! `PUSH_STATE` 0x16. Encoding picks the generation by object id —
-//! object 0 emits the v1 form byte-for-byte, so a registry-unaware
-//! peer sees exactly the old protocol; decoding accepts both.
-//! (`SNAPSHOT`, `SNAPSHOT_SINCE`, and `PUSH_STATE` are v2-only: the
-//! replication layer that needs them always speaks v2.)
-//! Response opcodes: `ACK` 0x81, `ENVELOPE` 0x82 (the legacy CountMin
-//! frequency body), `ENVELOPE2` 0x83 (object-kind-tagged envelope
-//! bodies for the other kinds), `STATS` 0x84, `GOODBYE` 0x85,
-//! `OBJECTS` 0x86, `SNAPSHOT` 0x87 (an object's mergeable state — a
-//! kind-tagged body carrying the raw cells/registers plus the object's
-//! current envelope), `SNAPSHOT_DELTA` 0x88, `ABSORBED` 0x89 (a
-//! `PUSH_STATE` was merged into the served object), `ERROR` 0xEE.
+//! Each operation has exactly one encoding (see README for the frame
+//! table). Request opcodes: `STATS` 0x04, `SHUTDOWN` 0x05, `OBJECTS`
+//! 0x06, and the object-addressed ones, whose body leads with a `u32`
+//! object id (a registry index, 0 included): `QUERY2` 0x12, `BATCH2`
+//! 0x13 (a single update is a one-item batch), `SNAPSHOT_SINCE` 0x15
+//! (a full read asks from base `u64::MAX`), `PUSH_STATE` 0x16.
+//! Response opcodes: `ACK` 0x81, `ENVELOPE2` 0x83 (kind-tagged
+//! envelope bodies for every object kind), `STATS` 0x84, `GOODBYE`
+//! 0x85, `OBJECTS` 0x86, `SNAPSHOT_DELTA` 0x88, `ABSORBED` 0x89 (a
+//! `PUSH_STATE` was merged into the served object), `ERROR` 0xEE. Any
+//! other opcode, including the retired pre-registry aliases, decodes
+//! as [`WireError::UnknownOpcode`].
 //!
 //! Mergeable-state bodies (the kind-tagged cells/registers payloads of
-//! `SNAPSHOT`/`SNAPSHOT_DELTA`/`PUSH_STATE`) are encoded and decoded
-//! by the [`ivl_merge::MergeableState`] trait itself — the wire layer
-//! only frames them, so a state's byte layout is defined exactly once.
+//! `SNAPSHOT_DELTA`/`PUSH_STATE`) are encoded and decoded by the
+//! [`ivl_merge::MergeableState`] trait itself — the wire layer only
+//! frames them, so a state's byte layout is defined exactly once.
 
 use crate::envelope::{Envelope, ErrorEnvelope};
 use crate::metrics::{ObjectStats, StatsReport};
-use crate::objects::{
-    CellRun, DeltaChange, ObjectInfo, ObjectKind, ObjectSnapshot, SnapshotDelta, SnapshotState,
-};
+use crate::objects::{CellRun, DeltaChange, ObjectInfo, ObjectKind, SnapshotDelta, SnapshotState};
 use ivl_merge::MergeableState;
 use std::fmt;
 use std::io::{self, Read};
@@ -46,7 +38,7 @@ use std::io::{self, Read};
 /// [`read_frame`]'s `max_len` parameter).
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 1 << 20;
 
-/// A `BATCH` frame may carry at most this many `(key, weight)` pairs —
+/// A `BATCH2` frame may carry at most this many `(key, weight)` pairs —
 /// the protocol's bounded-queue knob: a client cannot enqueue
 /// unbounded work with a single frame.
 pub const MAX_BATCH_ITEMS: u32 = 4096;
@@ -149,20 +141,10 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// A client-to-server frame. Update, query, and batch requests address
-/// one registered object by id; id 0 (always a CountMin) is the v1
-/// compatibility target and encodes in the object-id-less v1 form.
+/// A client-to-server frame. Query, batch and snapshot requests
+/// address one registered object by id (id 0 is always a CountMin).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
-    /// Ingest `weight` occurrences of `key` into `object`.
-    Update {
-        /// Target object id (registry index).
-        object: u32,
-        /// Item to count.
-        key: u64,
-        /// Occurrence count folded in by this update.
-        weight: u64,
-    },
     /// Ask `object` for `key`'s estimate with its IVL error envelope.
     Query {
         /// Target object id (registry index).
@@ -171,24 +153,19 @@ pub enum Request {
         key: u64,
     },
     /// Ingest many `(key, weight)` pairs into `object` under one frame
-    /// (at most [`MAX_BATCH_ITEMS`]).
+    /// (at most [`MAX_BATCH_ITEMS`]); a single update is a batch of
+    /// one.
     Batch {
         /// Target object id (registry index).
         object: u32,
         /// The `(key, weight)` pairs to ingest, in order.
         items: Vec<(u64, u64)>,
     },
-    /// Ask `object` for a mergeable snapshot of its state (raw
-    /// cells/registers) together with its current error envelope —
-    /// the replication layer's read primitive.
-    Snapshot {
-        /// Target object id (registry index).
-        object: u32,
-    },
     /// Ask `object` what changed since the client's cached epoch —
     /// answered by a `SNAPSHOT_DELTA_REPLY` carrying `Unchanged`, a
     /// sparse delta, or a full state. `u64::MAX` is the conventional
-    /// no-cache base (never a real epoch, always answered full).
+    /// no-cache base (never a real epoch, always answered full): the
+    /// replication layer's full-state read.
     SnapshotSince {
         /// Target object id (registry index).
         object: u32,
@@ -229,12 +206,8 @@ pub enum Response {
         applied: u64,
     },
     /// Answer to a query: the estimate wrapped in the queried object's
-    /// error envelope (frequency envelopes travel in the legacy v1
-    /// frame, other kinds in the kind-tagged v2 frame).
+    /// kind-tagged error envelope.
     Envelope(ErrorEnvelope),
-    /// Answer to a snapshot request: the object's mergeable state
-    /// plus its current envelope.
-    Snapshot(ObjectSnapshot),
     /// Answer to a snapshot-since request: the change against the
     /// client's base epoch plus the envelope in force.
     SnapshotDelta(SnapshotDelta),
@@ -264,25 +237,18 @@ pub enum Response {
     },
 }
 
-const OP_UPDATE: u8 = 0x01;
-const OP_QUERY: u8 = 0x02;
-const OP_BATCH: u8 = 0x03;
 const OP_STATS: u8 = 0x04;
 const OP_SHUTDOWN: u8 = 0x05;
 const OP_OBJECTS: u8 = 0x06;
-const OP_UPDATE2: u8 = 0x11;
 const OP_QUERY2: u8 = 0x12;
 const OP_BATCH2: u8 = 0x13;
-const OP_SNAPSHOT: u8 = 0x14;
 const OP_SNAPSHOT_SINCE: u8 = 0x15;
 const OP_PUSH_STATE: u8 = 0x16;
 const OP_ACK: u8 = 0x81;
-const OP_ENVELOPE: u8 = 0x82;
 const OP_ENVELOPE2: u8 = 0x83;
 const OP_STATS_REPLY: u8 = 0x84;
 const OP_GOODBYE: u8 = 0x85;
 const OP_OBJECTS_REPLY: u8 = 0x86;
-const OP_SNAPSHOT_REPLY: u8 = 0x87;
 const OP_SNAPSHOT_DELTA_REPLY: u8 = 0x88;
 const OP_ABSORBED: u8 = 0x89;
 const OP_ERROR: u8 = 0xEE;
@@ -297,10 +263,7 @@ const DELTA_HLL_RANGE: u8 = 2;
 const DELTA_FULL: u8 = 3;
 
 /// Kind tags of the kind-tagged envelope body shared by `ENVELOPE2`
-/// and the `SNAPSHOT` reply (one per [`ErrorEnvelope`] variant; an
-/// *encoded* `ENVELOPE2` never carries `ENV_FREQUENCY` — frequency
-/// rides the legacy `ENVELOPE` — but decoding accepts it anywhere the
-/// tagged body appears).
+/// and the `SNAPSHOT_DELTA` reply (one per [`ErrorEnvelope`] variant).
 const ENV_FREQUENCY: u8 = 0;
 const ENV_CARDINALITY: u8 = 1;
 const ENV_APPROX_COUNT: u8 = 2;
@@ -364,37 +327,20 @@ fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// The legacy `ENVELOPE` body field order (also the `ENV_FREQUENCY`
-/// tagged-body payload).
-fn push_frequency_body(buf: &mut Vec<u8>, env: &Envelope) {
-    push_u64(buf, env.key);
-    push_u64(buf, env.estimate);
-    push_u64(buf, env.epsilon);
-    push_u64(buf, env.stream_len);
-    push_u64(buf, env.alpha.to_bits());
-    push_u64(buf, env.delta.to_bits());
-    push_u64(buf, env.lag);
-}
-
-fn read_frequency_body(b: &mut Body<'_>) -> Result<Envelope, WireError> {
-    Ok(Envelope {
-        key: b.u64()?,
-        estimate: b.u64()?,
-        epsilon: b.u64()?,
-        stream_len: b.u64()?,
-        alpha: b.f64()?,
-        delta: b.f64()?,
-        lag: b.u64()?,
-    })
-}
-
 /// Appends a kind-tagged envelope body (`ENV_*` tag byte + fields) —
-/// the shared sub-encoding of `ENVELOPE2` and the `SNAPSHOT` reply.
+/// the shared sub-encoding of `ENVELOPE2` and the `SNAPSHOT_DELTA`
+/// reply.
 fn push_envelope(buf: &mut Vec<u8>, env: &ErrorEnvelope) {
     match env {
         ErrorEnvelope::Frequency(env) => {
             buf.push(ENV_FREQUENCY);
-            push_frequency_body(buf, env);
+            push_u64(buf, env.key);
+            push_u64(buf, env.estimate);
+            push_u64(buf, env.epsilon);
+            push_u64(buf, env.stream_len);
+            push_u64(buf, env.alpha.to_bits());
+            push_u64(buf, env.delta.to_bits());
+            push_u64(buf, env.lag);
         }
         ErrorEnvelope::Cardinality {
             estimate,
@@ -433,7 +379,15 @@ fn push_envelope(buf: &mut Vec<u8>, env: &ErrorEnvelope) {
 /// Reads a kind-tagged envelope body written by [`push_envelope`].
 fn read_envelope(b: &mut Body<'_>) -> Result<ErrorEnvelope, WireError> {
     Ok(match b.u8()? {
-        ENV_FREQUENCY => ErrorEnvelope::Frequency(read_frequency_body(b)?),
+        ENV_FREQUENCY => ErrorEnvelope::Frequency(Envelope {
+            key: b.u64()?,
+            estimate: b.u64()?,
+            epsilon: b.u64()?,
+            stream_len: b.u64()?,
+            alpha: b.f64()?,
+            delta: b.f64()?,
+            lag: b.u64()?,
+        }),
         ENV_CARDINALITY => ErrorEnvelope::Cardinality {
             estimate: b.f64()?,
             rel_std_err: b.f64()?,
@@ -467,52 +421,22 @@ fn frame(buf: &mut Vec<u8>, opcode: u8, body: impl FnOnce(&mut Vec<u8>)) {
 }
 
 impl Request {
-    /// Appends this request as one frame to `buf`. Requests addressing
-    /// object 0 emit the v1 (object-id-less) opcodes byte-for-byte;
-    /// any other object id emits the v2 opcode with the id leading the
-    /// body.
+    /// Appends this request as one frame to `buf`. Object-addressed
+    /// requests lead their body with the object id.
     pub fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            Request::Update {
-                object: 0,
-                key,
-                weight,
-            } => frame(buf, OP_UPDATE, |b| {
-                push_u64(b, *key);
-                push_u64(b, *weight);
-            }),
-            Request::Update {
-                object,
-                key,
-                weight,
-            } => frame(buf, OP_UPDATE2, |b| {
-                push_u32(b, *object);
-                push_u64(b, *key);
-                push_u64(b, *weight);
-            }),
-            Request::Query { object: 0, key } => frame(buf, OP_QUERY, |b| push_u64(b, *key)),
             Request::Query { object, key } => frame(buf, OP_QUERY2, |b| {
                 push_u32(b, *object);
                 push_u64(b, *key);
             }),
-            Request::Batch { object, items } => {
-                let (op, object) = if *object == 0 {
-                    (OP_BATCH, None)
-                } else {
-                    (OP_BATCH2, Some(*object))
-                };
-                frame(buf, op, |b| {
-                    if let Some(id) = object {
-                        push_u32(b, id);
-                    }
-                    push_u32(b, items.len() as u32);
-                    for (k, w) in items {
-                        push_u64(b, *k);
-                        push_u64(b, *w);
-                    }
-                })
-            }
-            Request::Snapshot { object } => frame(buf, OP_SNAPSHOT, |b| push_u32(b, *object)),
+            Request::Batch { object, items } => frame(buf, OP_BATCH2, |b| {
+                push_u32(b, *object);
+                push_u32(b, items.len() as u32);
+                for (k, w) in items {
+                    push_u64(b, *k);
+                    push_u64(b, *w);
+                }
+            }),
             Request::SnapshotSince { object, base_epoch } => frame(buf, OP_SNAPSHOT_SINCE, |b| {
                 push_u32(b, *object);
                 push_u64(b, *base_epoch);
@@ -533,46 +457,18 @@ impl Request {
         }
     }
 
-    /// Parses a request from a frame payload (opcode + body). v1
-    /// opcodes decode with `object: 0`.
+    /// Parses a request from a frame payload (opcode + body).
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
+        let mut items = Vec::new();
+        if let Some(object) = decode_batch_into(payload, &mut items)? {
+            return Ok(Request::Batch { object, items });
+        }
         let mut b = Body::new(payload);
         let req = match b.u8()? {
-            OP_UPDATE => Request::Update {
-                object: 0,
-                key: b.u64()?,
-                weight: b.u64()?,
-            },
-            OP_UPDATE2 => Request::Update {
-                object: b.u32()?,
-                key: b.u64()?,
-                weight: b.u64()?,
-            },
-            OP_QUERY => Request::Query {
-                object: 0,
-                key: b.u64()?,
-            },
             OP_QUERY2 => Request::Query {
                 object: b.u32()?,
                 key: b.u64()?,
             },
-            op @ (OP_BATCH | OP_BATCH2) => {
-                let object = if op == OP_BATCH2 { b.u32()? } else { 0 };
-                let count = b.u32()?;
-                if count > MAX_BATCH_ITEMS {
-                    return Err(WireError::Malformed("batch exceeds MAX_BATCH_ITEMS"));
-                }
-                // Cap the pre-allocation: `count` is validated against
-                // MAX_BATCH_ITEMS above, but a hostile length should
-                // never size an allocation before the body bytes back
-                // it up (same pattern as the objects-list decode).
-                let mut items = Vec::with_capacity((count as usize).min(1024));
-                for _ in 0..count {
-                    items.push((b.u64()?, b.u64()?));
-                }
-                Request::Batch { object, items }
-            }
-            OP_SNAPSHOT => Request::Snapshot { object: b.u32()? },
             OP_SNAPSHOT_SINCE => Request::SnapshotSince {
                 object: b.u32()?,
                 base_epoch: b.u64()?,
@@ -601,10 +497,8 @@ impl Request {
     /// The object id this request addresses, when it addresses one.
     pub fn object(&self) -> Option<u32> {
         match self {
-            Request::Update { object, .. }
-            | Request::Query { object, .. }
+            Request::Query { object, .. }
             | Request::Batch { object, .. }
-            | Request::Snapshot { object }
             | Request::SnapshotSince { object, .. }
             | Request::PushState { object, .. } => Some(*object),
             Request::Stats | Request::Objects | Request::Shutdown => None,
@@ -612,30 +506,33 @@ impl Request {
     }
 }
 
-/// Batch-frame fast path: decodes a `BATCH`/`BATCH2` payload into a
+/// Batch-frame fast path: decodes a `BATCH2` payload into a
 /// caller-owned items vector instead of a fresh [`Request::Batch`]
-/// allocation per frame. Returns `Ok(Some(object))` on a batch frame
-/// (with `items` cleared and refilled), `Ok(None)` when the payload is
-/// some other opcode (untouched — route it through
-/// [`Request::decode`]), and the same [`WireError`]s as the full
-/// decoder on a malformed batch. Growth of `items` is amortized: after
-/// one maximum-size frame (`MAX_BATCH_ITEMS`), steady-state decoding
-/// allocates nothing.
+/// allocation per frame (the full decoder delegates its batch arm
+/// here). Returns `Ok(Some(object))` on a batch frame (with `items`
+/// cleared and refilled), `Ok(None)` when the payload is some other
+/// opcode (untouched — route it through [`Request::decode`]), and a
+/// [`WireError`] on a malformed batch. Growth of `items` is amortized:
+/// after one maximum-size frame (`MAX_BATCH_ITEMS`), steady-state
+/// decoding allocates nothing.
 pub fn decode_batch_into(
     payload: &[u8],
     items: &mut Vec<(u64, u64)>,
 ) -> Result<Option<u32>, WireError> {
     let mut b = Body::new(payload);
-    let op = b.u8()?;
-    if op != OP_BATCH && op != OP_BATCH2 {
+    if b.u8()? != OP_BATCH2 {
         return Ok(None);
     }
-    let object = if op == OP_BATCH2 { b.u32()? } else { 0 };
+    let object = b.u32()?;
     let count = b.u32()?;
     if count > MAX_BATCH_ITEMS {
         return Err(WireError::Malformed("batch exceeds MAX_BATCH_ITEMS"));
     }
     items.clear();
+    // Cap the pre-allocation: `count` is validated against
+    // MAX_BATCH_ITEMS above, but a hostile length should never size an
+    // allocation before the body bytes back it up (same pattern as the
+    // objects-list decode).
     items.reserve((count as usize).min(1024));
     for _ in 0..count {
         items.push((b.u64()?, b.u64()?));
@@ -645,8 +542,8 @@ pub fn decode_batch_into(
 }
 
 /// Writes the kind-implied snapshot state body shared by the
-/// `SNAPSHOT_REPLY` frame, the full-change arm of the
-/// `SNAPSHOT_DELTA_REPLY` frame, and the `PUSH_STATE` request — a
+/// full-change arm of the `SNAPSHOT_DELTA_REPLY` frame and the
+/// `PUSH_STATE` request — a
 /// framing shim over [`MergeableState::encode_into`], which owns the
 /// byte layout.
 fn push_snapshot_state(b: &mut Vec<u8>, state: &SnapshotState) {
@@ -669,19 +566,7 @@ impl Response {
     pub fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             Response::Ack { applied } => frame(buf, OP_ACK, |b| push_u64(b, *applied)),
-            // Frequency keeps the legacy untagged `ENVELOPE` frame so
-            // v1 peers see byte-identical responses; every other kind
-            // (and the snapshot reply) uses the kind-tagged body.
-            Response::Envelope(ErrorEnvelope::Frequency(env)) => {
-                frame(buf, OP_ENVELOPE, |b| push_frequency_body(b, env))
-            }
             Response::Envelope(env) => frame(buf, OP_ENVELOPE2, |b| push_envelope(b, env)),
-            Response::Snapshot(snap) => frame(buf, OP_SNAPSHOT_REPLY, |b| {
-                push_u32(b, snap.object);
-                b.push(snap.kind.to_u8());
-                push_snapshot_state(b, &snap.state);
-                push_envelope(b, &snap.envelope);
-            }),
             Response::SnapshotDelta(delta) => frame(buf, OP_SNAPSHOT_DELTA_REPLY, |b| {
                 push_u32(b, delta.object);
                 b.push(delta.kind.to_u8());
@@ -763,23 +648,7 @@ impl Response {
         let mut b = Body::new(payload);
         let rsp = match b.u8()? {
             OP_ACK => Response::Ack { applied: b.u64()? },
-            OP_ENVELOPE => {
-                Response::Envelope(ErrorEnvelope::Frequency(read_frequency_body(&mut b)?))
-            }
             OP_ENVELOPE2 => Response::Envelope(read_envelope(&mut b)?),
-            OP_SNAPSHOT_REPLY => {
-                let object = b.u32()?;
-                let kind = ObjectKind::from_u8(b.u8()?)
-                    .ok_or(WireError::Malformed("unknown object kind tag"))?;
-                let state = read_snapshot_state(&mut b, kind)?;
-                let envelope = read_envelope(&mut b)?;
-                Response::Snapshot(ObjectSnapshot {
-                    object,
-                    kind,
-                    state,
-                    envelope,
-                })
-            }
             OP_SNAPSHOT_DELTA_REPLY => {
                 let object = b.u32()?;
                 let kind = ObjectKind::from_u8(b.u8()?)
@@ -1096,16 +965,6 @@ mod tests {
     #[test]
     fn request_roundtrips() {
         for req in [
-            Request::Update {
-                object: 0,
-                key: 7,
-                weight: 3,
-            },
-            Request::Update {
-                object: 3,
-                key: 7,
-                weight: 3,
-            },
             Request::Query {
                 object: 0,
                 key: u64::MAX,
@@ -1122,8 +981,6 @@ mod tests {
                 object: 2,
                 items: vec![],
             },
-            Request::Snapshot { object: 0 },
-            Request::Snapshot { object: 5 },
             Request::SnapshotSince {
                 object: 0,
                 base_epoch: 0,
@@ -1164,8 +1021,7 @@ mod tests {
             assert_eq!(roundtrip_request(&req), req);
             assert_eq!(req.object(), Some(2));
         }
-        // Push-state is v2-only: object 0 still leads the body with
-        // its id.
+        // Object 0 leads the body with its id like any other.
         let mut buf = Vec::new();
         Request::PushState {
             object: 0,
@@ -1199,15 +1055,9 @@ mod tests {
 
     #[test]
     fn snapshot_request_is_v2_even_for_object_zero() {
-        // Unlike update/query/batch there is no v1 form to fall back
-        // to: the body always leads with the object id.
+        // The body always leads with the object id, then the base
+        // epoch — object 0 included.
         let mut buf = Vec::new();
-        Request::Snapshot { object: 0 }.encode(&mut buf);
-        assert_eq!(buf[4], OP_SNAPSHOT);
-        assert_eq!(buf.len(), 4 + 1 + 4);
-
-        // Snapshot-since likewise: object id then base epoch.
-        buf.clear();
         Request::SnapshotSince {
             object: 0,
             base_epoch: 9,
@@ -1218,44 +1068,28 @@ mod tests {
     }
 
     #[test]
-    fn object_zero_requests_emit_v1_frames() {
-        // Byte-for-byte the pre-registry encoding: v1 opcode, no
-        // object id in the body.
+    fn object_zero_requests_lead_with_their_id() {
+        // One encoding per operation: object 0 travels in the same
+        // object-addressed frames as every other id.
         let mut buf = Vec::new();
-        Request::Update {
-            object: 0,
-            key: 7,
-            weight: 3,
-        }
-        .encode(&mut buf);
+        Request::Query { object: 0, key: 9 }.encode(&mut buf);
         let mut expect = Vec::new();
-        push_u32(&mut expect, 17);
-        expect.push(OP_UPDATE);
-        push_u64(&mut expect, 7);
-        push_u64(&mut expect, 3);
+        push_u32(&mut expect, 13);
+        expect.push(OP_QUERY2);
+        push_u32(&mut expect, 0);
+        push_u64(&mut expect, 9);
         assert_eq!(buf, expect);
 
-        buf.clear();
-        Request::Query { object: 0, key: 9 }.encode(&mut buf);
-        assert_eq!(buf[4], OP_QUERY);
-        assert_eq!(buf.len(), 4 + 1 + 8);
-
+        // A single update is a one-item BATCH2.
         buf.clear();
         Request::Batch {
             object: 0,
-            items: vec![(1, 1)],
+            items: vec![(7, 3)],
         }
         .encode(&mut buf);
-        assert_eq!(buf[4], OP_BATCH);
-
-        buf.clear();
-        Request::Update {
-            object: 1,
-            key: 7,
-            weight: 3,
-        }
-        .encode(&mut buf);
-        assert_eq!(buf[4], OP_UPDATE2);
+        assert_eq!(buf[4], OP_BATCH2);
+        assert_eq!(buf.len(), 4 + 1 + 4 + 4 + 16);
+        assert_eq!(buf[5..9], 0u32.to_le_bytes());
     }
 
     #[test]
@@ -1335,6 +1169,8 @@ mod tests {
 
     #[test]
     fn snapshot_responses_roundtrip() {
+        // Full snapshot replies — what `SNAPSHOT_SINCE` from
+        // `u64::MAX` answers — for every kind, CountMin included.
         let freq = ErrorEnvelope::Frequency(crate::envelope::Envelope {
             key: 5,
             estimate: 100,
@@ -1344,54 +1180,61 @@ mod tests {
             delta: 0.01,
             lag: 128,
         });
-        for rsp in [
-            Response::Snapshot(ObjectSnapshot {
-                object: 0,
-                kind: ObjectKind::CountMin,
-                state: SnapshotState::CountMin {
+        for (object, kind, state, envelope) in [
+            (
+                0,
+                ObjectKind::CountMin,
+                SnapshotState::CountMin {
                     width: 3,
                     depth: 2,
                     hash_fp: 0xDEAD_BEEF,
                     cells: vec![1, 2, 3, 4, 5, 6],
                 },
-                envelope: freq,
-            }),
-            Response::Snapshot(ObjectSnapshot {
-                object: 1,
-                kind: ObjectKind::Hll,
-                state: SnapshotState::Hll {
+                freq,
+            ),
+            (
+                1,
+                ObjectKind::Hll,
+                SnapshotState::Hll {
                     hash_fp: 42,
                     registers: vec![0, 7, 1, 0],
                 },
-                envelope: ErrorEnvelope::Cardinality {
+                ErrorEnvelope::Cardinality {
                     estimate: 812.5,
                     rel_std_err: 0.016,
                     registers: 4,
                     register_sum: 8,
                     observed: 900,
                 },
-            }),
-            Response::Snapshot(ObjectSnapshot {
-                object: 2,
-                kind: ObjectKind::Morris,
-                state: SnapshotState::Morris { exponent: 9 },
-                envelope: ErrorEnvelope::ApproxCount {
+            ),
+            (
+                2,
+                ObjectKind::Morris,
+                SnapshotState::Morris { exponent: 9 },
+                ErrorEnvelope::ApproxCount {
                     estimate: 14.0,
                     a: 0.5,
                     exponent: 9,
                     observed: 15,
                 },
-            }),
-            Response::Snapshot(ObjectSnapshot {
-                object: 3,
-                kind: ObjectKind::MinRegister,
-                state: SnapshotState::MinRegister { minimum: 3 },
-                envelope: ErrorEnvelope::Minimum {
+            ),
+            (
+                3,
+                ObjectKind::MinRegister,
+                SnapshotState::MinRegister { minimum: 3 },
+                ErrorEnvelope::Minimum {
                     minimum: 3,
                     observed: 44,
                 },
-            }),
+            ),
         ] {
+            let rsp = Response::SnapshotDelta(SnapshotDelta {
+                object,
+                kind,
+                epoch: 11,
+                change: DeltaChange::Full(state),
+                envelope,
+            });
             let mut buf = Vec::new();
             rsp.encode(&mut buf);
             let payload = read_frame(&mut buf.as_slice(), DEFAULT_MAX_FRAME_LEN)
@@ -1581,11 +1424,13 @@ mod tests {
 
     #[test]
     fn snapshot_reply_with_lying_dimensions_rejected() {
-        // A CountMin snapshot header announcing more cells than the
-        // body carries must fail cleanly before allocating.
-        let mut payload = vec![OP_SNAPSHOT_REPLY];
+        // A full CountMin state whose header announces more cells
+        // than the body carries must fail cleanly before allocating.
+        let mut payload = vec![OP_SNAPSHOT_DELTA_REPLY];
         payload.extend_from_slice(&0u32.to_le_bytes()); // object
         payload.push(ObjectKind::CountMin.to_u8());
+        payload.extend_from_slice(&9u64.to_le_bytes()); // epoch
+        payload.push(DELTA_FULL);
         payload.extend_from_slice(&u32::MAX.to_le_bytes()); // width
         payload.extend_from_slice(&u32::MAX.to_le_bytes()); // depth
         payload.extend_from_slice(&7u64.to_le_bytes()); // hash_fp
@@ -1595,7 +1440,7 @@ mod tests {
         );
 
         // Unknown kind tag in the snapshot reply.
-        let payload = [OP_SNAPSHOT_REPLY, 0, 0, 0, 0, 0x7f];
+        let payload = [OP_SNAPSHOT_DELTA_REPLY, 0, 0, 0, 0, 0x7f];
         assert_eq!(
             Response::decode(&payload).unwrap_err(),
             WireError::Malformed("unknown object kind tag")
@@ -1651,12 +1496,28 @@ mod tests {
             Request::decode(&[0x7f]).unwrap_err(),
             WireError::UnknownOpcode(0x7f)
         );
+        // The retired pre-registry aliases (v1 UPDATE/QUERY/BATCH,
+        // UPDATE2, SNAPSHOT) are unknown opcodes like any other.
+        for op in [0x01, 0x02, 0x03, 0x11, 0x14] {
+            assert_eq!(
+                Request::decode(&[op, 0, 0, 0, 0]).unwrap_err(),
+                WireError::UnknownOpcode(op)
+            );
+        }
+        // ...and so are the retired v1 ENVELOPE / SNAPSHOT replies.
+        for op in [0x82, 0x87] {
+            assert_eq!(
+                Response::decode(&[op]).unwrap_err(),
+                WireError::UnknownOpcode(op)
+            );
+        }
         assert_eq!(
-            Request::decode(&[OP_UPDATE, 1, 2]).unwrap_err(),
+            Request::decode(&[OP_QUERY2, 1, 2]).unwrap_err(),
             WireError::Malformed("body shorter than its schema")
         );
         // Batch announcing more items than it carries.
-        let mut bad = vec![OP_BATCH];
+        let mut bad = vec![OP_BATCH2];
+        bad.extend_from_slice(&0u32.to_le_bytes());
         bad.extend_from_slice(&5u32.to_le_bytes());
         assert!(matches!(
             Request::decode(&bad).unwrap_err(),
@@ -1675,13 +1536,6 @@ mod tests {
 
     #[test]
     fn oversized_batch_count_rejected() {
-        let mut payload = vec![OP_BATCH];
-        payload.extend_from_slice(&(MAX_BATCH_ITEMS + 1).to_le_bytes());
-        assert_eq!(
-            Request::decode(&payload).unwrap_err(),
-            WireError::Malformed("batch exceeds MAX_BATCH_ITEMS")
-        );
-        // The bound binds v2 batches identically.
         let mut payload = vec![OP_BATCH2];
         payload.extend_from_slice(&1u32.to_le_bytes());
         payload.extend_from_slice(&(MAX_BATCH_ITEMS + 1).to_le_bytes());
@@ -1730,7 +1584,8 @@ mod tests {
             "non-batch payload must not clobber items"
         );
         // Truncated batch body still errors.
-        let mut bad = vec![OP_BATCH];
+        let mut bad = vec![OP_BATCH2];
+        bad.extend_from_slice(&0u32.to_le_bytes());
         bad.extend_from_slice(&2u32.to_le_bytes());
         bad.extend_from_slice(&1u64.to_le_bytes());
         assert!(matches!(
@@ -1757,31 +1612,7 @@ mod tests {
             lag: 128,
         };
         let requests: Vec<(u8, Request)> = vec![
-            (
-                OP_UPDATE,
-                Request::Update {
-                    object: 0,
-                    key: 7,
-                    weight: 3,
-                },
-            ),
-            (
-                OP_UPDATE2,
-                Request::Update {
-                    object: 1,
-                    key: 7,
-                    weight: 3,
-                },
-            ),
-            (OP_QUERY, Request::Query { object: 0, key: 9 }),
             (OP_QUERY2, Request::Query { object: 1, key: 9 }),
-            (
-                OP_BATCH,
-                Request::Batch {
-                    object: 0,
-                    items: vec![(1, 1)],
-                },
-            ),
             (
                 OP_BATCH2,
                 Request::Batch {
@@ -1792,7 +1623,6 @@ mod tests {
             (OP_STATS, Request::Stats),
             (OP_OBJECTS, Request::Objects),
             (OP_SHUTDOWN, Request::Shutdown),
-            (OP_SNAPSHOT, Request::Snapshot { object: 1 }),
             (
                 OP_SNAPSHOT_SINCE,
                 Request::SnapshotSince {
@@ -1818,7 +1648,7 @@ mod tests {
         let responses: Vec<(u8, Response)> = vec![
             (OP_ACK, Response::Ack { applied: 9 }),
             (
-                OP_ENVELOPE,
+                OP_ENVELOPE2,
                 Response::Envelope(ErrorEnvelope::Frequency(freq)),
             ),
             (
@@ -1837,20 +1667,6 @@ mod tests {
                     kind: ObjectKind::CountMin,
                     name: "cm".into(),
                 }]),
-            ),
-            (
-                OP_SNAPSHOT_REPLY,
-                Response::Snapshot(ObjectSnapshot {
-                    object: 2,
-                    kind: ObjectKind::Morris,
-                    state: SnapshotState::Morris { exponent: 9 },
-                    envelope: ErrorEnvelope::ApproxCount {
-                        estimate: 14.0,
-                        a: 0.5,
-                        exponent: 9,
-                        observed: 15,
-                    },
-                }),
             ),
             (
                 OP_SNAPSHOT_DELTA_REPLY,

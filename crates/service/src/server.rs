@@ -7,8 +7,8 @@
 //! the backend.
 //!
 //! An [`ObjectRegistry`] is shared by all connections: every update,
-//! query, or batch frame names one registered object by id (v1 frames
-//! implicitly name object 0, always a CountMin), and both backends
+//! query, or batch frame names one registered object by id (object 0
+//! is always a CountMin), and both backends
 //! route it through the object's [`ServedObject`] interface. For the
 //! CountMin that preserves the original discipline — in the threaded
 //! backend, the first update a connection sends checks out a
@@ -114,7 +114,7 @@ pub struct ServerConfig {
     /// Seed for the objects' coin flips (hash functions).
     pub seed: u64,
     /// The objects to register, in id order. Object 0 must be a
-    /// CountMin (the target of v1, object-id-less frames); CountMin
+    /// CountMin (the target of the client's bare methods); CountMin
     /// entries take their `(alpha, delta)`, `shards`, and
     /// `write_buffer` from this config.
     pub objects: Vec<ObjectConfig>,
@@ -659,14 +659,6 @@ fn execute_request<'a>(
     request: Request,
 ) -> (Response, bool) {
     match request {
-        Request::Update {
-            object,
-            key,
-            weight,
-        } => (
-            apply_updates(shared, writers, applied, process, object, &[(key, weight)]),
-            false,
-        ),
         Request::Batch { object, items } => {
             shared.metrics.record_batch();
             (
@@ -690,23 +682,13 @@ fn execute_request<'a>(
             shared.metrics.record_query(start.elapsed().as_nanos());
             (Response::Envelope(envelope), false)
         }
-        Request::Snapshot { object } => {
+        Request::SnapshotSince { object, base_epoch } => {
             // A snapshot is a read like a query (metrics count it as
             // one); it is not recorded into the history — the state it
-            // returns is matrix-valued, and the replicated checker
+            // returns is matrix-valued (a delta is a compressed
+            // transport of the same read), and the replicated checker
             // works from per-replica histories plus merged projections
             // instead.
-            let start = Instant::now();
-            let Some(snap) = shared.registry.snapshot(object) else {
-                return (unknown_object(shared, object), false);
-            };
-            shared.metrics.record_query(start.elapsed().as_nanos());
-            (Response::Snapshot(snap), false)
-        }
-        Request::SnapshotSince { object, base_epoch } => {
-            // Same read discipline as `Snapshot`: counted as a query,
-            // not recorded — the delta is a compressed transport of
-            // the same IVL read.
             let start = Instant::now();
             let Some(delta) = shared.registry.snapshot_since(object, base_epoch) else {
                 return (unknown_object(shared, object), false);
@@ -861,7 +843,8 @@ mod tests {
         let stats = c.stats().unwrap();
         assert_eq!(stats.updates, 3);
         assert_eq!(stats.queries, 1);
-        assert_eq!(stats.batches, 1);
+        // The single update travels as a one-item batch.
+        assert_eq!(stats.batches, 2);
         assert_eq!(stats.stream_len, 10);
         drop(c);
         let joined = h.join();
@@ -909,38 +892,47 @@ mod tests {
         assert!(h.wait_for_free_shard(Duration::from_secs(5)));
     }
 
+    /// An unassigned opcode plus every retired request opcode.
+    const RETIRED_AND_UNKNOWN_OPCODES: [u8; 6] = [0x7f, 0x01, 0x02, 0x03, 0x11, 0x14];
+
     #[test]
     fn malformed_frames_get_protocol_errors_not_closure() {
         let h = serve("127.0.0.1:0", config(1, false)).unwrap();
         let mut s = TcpStream::connect(h.addr()).unwrap();
-        // Unknown opcode in a well-delimited frame.
-        s.write_all(&2u32.to_le_bytes()).unwrap();
-        s.write_all(&[0x7f, 0x00]).unwrap();
-        let payload = protocol::read_frame(&mut s, protocol::DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .unwrap();
-        match Response::decode(&payload).unwrap() {
-            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
-            other => panic!("expected error, got {other:?}"),
+        // Unknown opcodes in well-delimited frames — an unassigned one
+        // and the retired aliases (v1 UPDATE/QUERY/BATCH, UPDATE2,
+        // SNAPSHOT), which decode like any other unknown opcode.
+        for op in RETIRED_AND_UNKNOWN_OPCODES {
+            s.write_all(&2u32.to_le_bytes()).unwrap();
+            s.write_all(&[op, 0x00]).unwrap();
+            let payload = protocol::read_frame(&mut s, protocol::DEFAULT_MAX_FRAME_LEN)
+                .unwrap()
+                .unwrap();
+            match Response::decode(&payload).unwrap() {
+                Response::Error { code, .. } => {
+                    assert_eq!(code, ErrorCode::Protocol, "op {op:#04x}")
+                }
+                other => panic!("expected error for op {op:#04x}, got {other:?}"),
+            }
+            // The connection survives: a valid request still works.
+            let mut buf = Vec::new();
+            Request::Query { object: 0, key: 1 }.encode(&mut buf);
+            s.write_all(&buf).unwrap();
+            let payload = protocol::read_frame(&mut s, protocol::DEFAULT_MAX_FRAME_LEN)
+                .unwrap()
+                .unwrap();
+            assert!(matches!(
+                Response::decode(&payload).unwrap(),
+                Response::Envelope(_)
+            ));
         }
-        // The connection survives: a valid request still works.
-        let mut buf = Vec::new();
-        Request::Query { object: 0, key: 1 }.encode(&mut buf);
-        s.write_all(&buf).unwrap();
-        let payload = protocol::read_frame(&mut s, protocol::DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .unwrap();
-        assert!(matches!(
-            Response::decode(&payload).unwrap(),
-            Response::Envelope(_)
-        ));
-        assert_eq!(h.stats().protocol_errors, 1);
+        assert_eq!(h.stats().protocol_errors, 6);
         drop(s); // join drains: the client must hang up first
         h.join();
     }
 
     fn snapshots_serve_mergeable_state(backend: Backend) {
-        use crate::objects::SnapshotState;
+        use crate::objects::{DeltaChange, SnapshotState};
         let cfg = ServerConfig {
             objects: vec![
                 ObjectConfig::new("cm", ObjectKind::CountMin),
@@ -951,22 +943,25 @@ mod tests {
         let h = serve("127.0.0.1:0", cfg).unwrap();
         let mut c = Client::connect(h.addr()).unwrap();
         c.batch(&[(7, 2), (9, 5)]).unwrap();
-        let snap = c.snapshot(0).unwrap();
+        let snap = c.snapshot_since(0, u64::MAX).unwrap();
         assert_eq!((snap.object, snap.kind), (0, ObjectKind::CountMin));
-        match &snap.state {
-            SnapshotState::CountMin { width, cells, .. } => {
+        match &snap.change {
+            DeltaChange::Full(SnapshotState::CountMin { width, cells, .. }) => {
                 let row0: u64 = cells[..*width as usize].iter().sum();
                 assert_eq!(row0, 7, "row 0 holds the whole stream weight");
             }
-            other => panic!("wanted CountMin state, got {other:?}"),
+            other => panic!("wanted a full CountMin state, got {other:?}"),
         }
         match snap.envelope {
             crate::envelope::ErrorEnvelope::Frequency(env) => assert_eq!(env.stream_len, 7),
             other => panic!("wanted frequency envelope, got {other:?}"),
         }
-        let snap = c.snapshot(1).unwrap();
-        assert!(matches!(snap.state, SnapshotState::Hll { .. }));
-        let err = c.snapshot(9).unwrap_err();
+        let snap = c.snapshot_since(1, u64::MAX).unwrap();
+        assert!(matches!(
+            snap.change,
+            DeltaChange::Full(SnapshotState::Hll { .. })
+        ));
+        let err = c.snapshot_since(9, u64::MAX).unwrap_err();
         assert!(
             matches!(
                 &err,
@@ -989,6 +984,14 @@ mod tests {
     #[test]
     fn snapshots_serve_mergeable_state_event_loop() {
         snapshots_serve_mergeable_state(Backend::EventLoop);
+    }
+
+    /// Object `id`'s full mergeable state, read from base `u64::MAX`.
+    fn full_state(c: &mut Client, id: u32) -> crate::objects::SnapshotState {
+        match c.snapshot_since(id, u64::MAX).unwrap().change {
+            crate::objects::DeltaChange::Full(state) => state,
+            other => panic!("a no-cache read must answer full, got {other:?}"),
+        }
     }
 
     fn push_state_absorbs_a_peer_snapshot(backend: Backend) {
@@ -1024,14 +1027,14 @@ mod tests {
         // Absorb every one of A's objects into B: afterward B answers
         // for the union of the two streams.
         for id in 0..4u32 {
-            let snap = a.snapshot(id).unwrap();
+            let state = full_state(&mut a, id);
             let observed = match id {
                 0 => 7,
                 1 => 200,
                 2 => 0,
                 _ => 1,
             };
-            b.push_state(id, observed, snap.state).unwrap();
+            b.push_state(id, observed, state).unwrap();
         }
         let env = b.query(7).unwrap();
         assert!(
@@ -1067,8 +1070,8 @@ mod tests {
         let hc = serve("127.0.0.1:0", cfg(2)).unwrap();
         let mut c = Client::connect(hc.addr()).unwrap();
         c.update(7, 1).unwrap();
-        let alien = c.snapshot(0).unwrap();
-        let err = b.push_state(0, 1, alien.state).unwrap_err();
+        let alien = full_state(&mut c, 0);
+        let err = b.push_state(0, 1, alien).unwrap_err();
         assert!(
             matches!(
                 &err,
@@ -1144,7 +1147,8 @@ mod tests {
         let stats = c.stats().unwrap();
         assert_eq!(stats.updates, 3);
         assert_eq!(stats.queries, 1);
-        assert_eq!(stats.batches, 1);
+        // The single update travels as a one-item batch.
+        assert_eq!(stats.batches, 2);
         assert_eq!(stats.stream_len, 10);
         assert!(stats.wakeups > 0, "reactor served without waking?");
         assert!(stats.frames >= 4);
@@ -1231,28 +1235,34 @@ mod tests {
     fn event_loop_malformed_frames_get_protocol_errors_not_closure() {
         let h = serve("127.0.0.1:0", config_with(Backend::EventLoop, 1, false)).unwrap();
         let mut s = TcpStream::connect(h.addr()).unwrap();
-        // Unknown opcode in a well-delimited frame.
-        s.write_all(&2u32.to_le_bytes()).unwrap();
-        s.write_all(&[0x7f, 0x00]).unwrap();
-        let payload = protocol::read_frame(&mut s, protocol::DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .unwrap();
-        match Response::decode(&payload).unwrap() {
-            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
-            other => panic!("expected error, got {other:?}"),
+        // Unknown opcodes in well-delimited frames — an unassigned one
+        // and the retired aliases (v1 UPDATE/QUERY/BATCH, UPDATE2,
+        // SNAPSHOT), which decode like any other unknown opcode.
+        for op in RETIRED_AND_UNKNOWN_OPCODES {
+            s.write_all(&2u32.to_le_bytes()).unwrap();
+            s.write_all(&[op, 0x00]).unwrap();
+            let payload = protocol::read_frame(&mut s, protocol::DEFAULT_MAX_FRAME_LEN)
+                .unwrap()
+                .unwrap();
+            match Response::decode(&payload).unwrap() {
+                Response::Error { code, .. } => {
+                    assert_eq!(code, ErrorCode::Protocol, "op {op:#04x}")
+                }
+                other => panic!("expected error for op {op:#04x}, got {other:?}"),
+            }
+            // The connection survives: a valid request still works.
+            let mut buf = Vec::new();
+            Request::Query { object: 0, key: 1 }.encode(&mut buf);
+            s.write_all(&buf).unwrap();
+            let payload = protocol::read_frame(&mut s, protocol::DEFAULT_MAX_FRAME_LEN)
+                .unwrap()
+                .unwrap();
+            assert!(matches!(
+                Response::decode(&payload).unwrap(),
+                Response::Envelope(_)
+            ));
         }
-        // The connection survives: a valid request still works.
-        let mut buf = Vec::new();
-        Request::Query { object: 0, key: 1 }.encode(&mut buf);
-        s.write_all(&buf).unwrap();
-        let payload = protocol::read_frame(&mut s, protocol::DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .unwrap();
-        assert!(matches!(
-            Response::decode(&payload).unwrap(),
-            Response::Envelope(_)
-        ));
-        assert_eq!(h.stats().protocol_errors, 1);
+        assert_eq!(h.stats().protocol_errors, 6);
         drop(s);
         h.join();
     }

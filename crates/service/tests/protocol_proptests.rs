@@ -1,8 +1,7 @@
 //! Property tests for the wire protocol: encode→decode is the
-//! identity for every frame type — across both frame generations (v1
-//! object-0 frames and v2 object-addressed frames) — and malformed
-//! bytes are rejected with a protocol error — never a panic, never a
-//! bogus frame.
+//! identity for every frame type — one encoding per operation, object
+//! 0 included — and malformed bytes are rejected with a protocol
+//! error — never a panic, never a bogus frame.
 
 use ivl_service::envelope::{Envelope, ErrorEnvelope};
 use ivl_service::metrics::{ObjectStats, StatsReport};
@@ -35,7 +34,12 @@ fn response_roundtrip(rsp: &Response) -> Response {
 proptest! {
     #[test]
     fn update_frames_roundtrip(object in any::<u32>(), key in any::<u64>(), weight in any::<u64>()) {
-        let req = Request::Update { object, key, weight };
+        // A single update travels as a one-item BATCH2.
+        let req = Request::Batch { object, items: vec![(key, weight)] };
+        let mut buf = Vec::new();
+        req.encode(&mut buf);
+        prop_assert_eq!(buf[4], 0x13);
+        prop_assert_eq!(buf.len(), 4 + 1 + 4 + 4 + 16);
         prop_assert_eq!(request_roundtrip(&req), req);
     }
 
@@ -61,39 +65,28 @@ proptest! {
         prop_assert_eq!(request_roundtrip(&req), req);
     }
 
-    // --- v1 ↔ v2 interop: object 0 always travels as a v1 frame ---
+    // --- one encoding per operation: object 0 is not special ---
 
     #[test]
-    fn object_zero_updates_encode_as_v1(key in any::<u64>(), weight in any::<u64>()) {
-        let mut buf = Vec::new();
-        Request::Update { object: 0, key, weight }.encode(&mut buf);
-        // 4-byte length prefix + opcode 0x01 + key + weight: exactly
-        // the v1 layout, no object id on the wire.
-        prop_assert_eq!(buf.len(), 4 + 1 + 8 + 8);
-        prop_assert_eq!(buf[4], 0x01);
-        let mut v2 = Vec::new();
-        Request::Update { object: 1, key, weight }.encode(&mut v2);
-        prop_assert_eq!(v2.len(), buf.len() + 4, "v2 adds exactly the object id");
-        prop_assert_eq!(v2[4], 0x11);
-    }
-
-    #[test]
-    fn object_zero_queries_and_batches_encode_as_v1(
+    fn object_zero_queries_and_batches_encode_as_v2(
         key in any::<u64>(),
         items in vec((any::<u64>(), any::<u64>()), 0..8),
     ) {
         let mut buf = Vec::new();
         Request::Query { object: 0, key }.encode(&mut buf);
-        prop_assert_eq!(buf[4], 0x02);
-        prop_assert_eq!(buf.len(), 4 + 1 + 8);
+        prop_assert_eq!(buf[4], 0x12);
+        prop_assert_eq!(buf.len(), 4 + 1 + 4 + 8);
+        let mut other = Vec::new();
+        Request::Query { object: 7, key }.encode(&mut other);
+        prop_assert_eq!(&buf[..5], &other[..5], "same opcode and length for every id");
         let mut buf = Vec::new();
         Request::Batch { object: 0, items: items.clone() }.encode(&mut buf);
-        prop_assert_eq!(buf[4], 0x03);
-        prop_assert_eq!(buf.len(), 4 + 1 + 4 + 16 * items.len());
-        let mut v2 = Vec::new();
-        Request::Batch { object: 7, items }.encode(&mut v2);
-        prop_assert_eq!(v2[4], 0x13);
-        prop_assert_eq!(v2.len(), buf.len() + 4);
+        prop_assert_eq!(buf[4], 0x13);
+        prop_assert_eq!(buf.len(), 4 + 1 + 4 + 4 + 16 * items.len());
+        let mut other = Vec::new();
+        Request::Batch { object: 7, items }.encode(&mut other);
+        prop_assert_eq!(&buf[..5], &other[..5]);
+        prop_assert_eq!(buf.len(), other.len());
     }
 
     #[test]
@@ -204,7 +197,7 @@ proptest! {
         keep_num in any::<u32>(),
     ) {
         let mut buf = Vec::new();
-        Request::Update { object: 0, key, weight }.encode(&mut buf);
+        Request::Batch { object: 0, items: vec![(key, weight)] }.encode(&mut buf);
         let keep = keep_num as usize % buf.len(); // strictly shorter
         buf.truncate(keep);
         let got = read_frame(&mut buf.as_slice(), DEFAULT_MAX_FRAME_LEN);
@@ -227,13 +220,18 @@ proptest! {
 
     #[test]
     fn unknown_opcodes_are_rejected(
-        // 0x07..=0x10 and 0x14..=0x80 are unassigned request opcodes
-        // (v1 claims 0x01..=0x05, v2 adds 0x06 and 0x11..=0x13); the
-        // map folds the three assigned v2 opcodes onto the range top.
-        op in (0x07u8..0x7e).prop_map(|op| match op {
-            0x11 => 0x7e,
-            0x12 => 0x7f,
-            0x13 => 0x80,
+        // Every byte but the assigned request opcodes (0x04..=0x06,
+        // 0x12, 0x13, 0x15, 0x16) is unknown — the retired aliases
+        // 0x01..=0x03, 0x11 and 0x14 included; the map folds the
+        // assigned ones onto the range top.
+        op in (0x00u8..0x79).prop_map(|op| match op {
+            0x04 => 0x79,
+            0x05 => 0x7a,
+            0x06 => 0x7b,
+            0x12 => 0x7c,
+            0x13 => 0x7d,
+            0x15 => 0x7e,
+            0x16 => 0x7f,
             other => other,
         }),
         tail in vec(0u8..=255, 0..16),
@@ -260,15 +258,9 @@ proptest! {
     }
 
     #[test]
-    fn overlong_batches_are_rejected(extra in 1u32..1_000, object in any::<u32>(), v2 in any::<bool>()) {
-        // Both batch generations enforce the same item cap.
-        let mut payload = if v2 {
-            let mut p = vec![0x13];
-            p.extend_from_slice(&object.to_le_bytes());
-            p
-        } else {
-            vec![0x03]
-        };
+    fn overlong_batches_are_rejected(extra in 1u32..1_000, object in any::<u32>()) {
+        let mut payload = vec![0x13];
+        payload.extend_from_slice(&object.to_le_bytes());
         payload.extend_from_slice(&(MAX_BATCH_ITEMS + extra).to_le_bytes());
         prop_assert!(matches!(
             Request::decode(&payload),
@@ -348,7 +340,7 @@ proptest! {
         keep_num in any::<u32>(),
     ) {
         let mut stream = Vec::new();
-        Request::Update { object: 0, key, weight }.encode(&mut stream);
+        Request::Batch { object: 0, items: vec![(key, weight)] }.encode(&mut stream);
         let keep = keep_num as usize % stream.len(); // strictly shorter
         let mut decoder = FrameDecoder::new(DEFAULT_MAX_FRAME_LEN);
         decoder.feed(&stream[..keep]);
@@ -359,19 +351,11 @@ proptest! {
     }
 }
 
-/// Strategy over all request variants and both frame generations
-/// (object 0 encodes v1, anything else v2; small batches keep cases
+/// Strategy over the request variants (small batches keep cases
 /// fast).
 fn arb_request() -> impl Strategy<Value = Request> {
     let object = 0u32..4;
     prop_oneof![
-        (object.clone(), any::<u64>(), any::<u64>()).prop_map(|(object, key, weight)| {
-            Request::Update {
-                object,
-                key,
-                weight,
-            }
-        }),
         (object.clone(), any::<u64>()).prop_map(|(object, key)| Request::Query { object, key }),
         (object, vec((any::<u64>(), any::<u64>()), 0..5))
             .prop_map(|(object, items)| Request::Batch { object, items }),

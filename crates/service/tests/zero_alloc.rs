@@ -50,9 +50,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Hand-encodes one BATCH2 frame (opcode 0x13). `Request::encode`
-/// emits the v1 opcode for object 0, so the v2 framing is written
-/// explicitly: `[len:u32le][0x13][object:u32le][count:u32le][(key,
+/// Hand-encodes one BATCH2 frame (opcode 0x13) into a reused buffer —
+/// `Request::Batch` would allocate its items on the client side of
+/// the count: `[len:u32le][0x13][object:u32le][count:u32le][(key,
 /// weight):u64le×2]*`. Keys repeat so the frame exercises the
 /// coalescing path.
 fn encode_batch2(buf: &mut Vec<u8>, object: u32, items: &[(u64, u64)]) {
