@@ -12,7 +12,10 @@
 //! ```text
 //!   --quick       smaller stream + 3 samples (CI smoke)
 //!   --json FILE   write the measured table as JSON (BENCH_core.json)
-//!   --enforce     exit 1 if buffered b=64 ingests slower than strict
+//!   --enforce     exit 1 if buffered b=64 ingests slower than strict,
+//!                 batch32 is slower than per-item (z=1.5), or a
+//!                 1-of-8-shards snapshot sum is under 3x faster than
+//!                 an 8-of-8 one
 //! ```
 
 use criterion::{BenchmarkId, Criterion, Throughput};
@@ -46,6 +49,19 @@ const FRAME_ALPHABET: usize = 512;
 /// pair measures this regime while the serving-default pair is
 /// reported alongside it (see EXPERIMENTS E20 for both).
 const FRAME_HOT_S: f64 = 1.5;
+/// Shards of the `snapshot_sum` sketch — the serving default.
+const SNAPSHOT_SHARDS: usize = 8;
+/// A `snapshot_sum` pass times this many chunks of
+/// [`SNAPSHOT_CHUNK`] `cells_snapshot` calls and reports the fastest
+/// chunk times the chunk count, so a chunk the scheduler preempted
+/// does not skew the enforced ratio.
+const SNAPSHOT_CHUNKS: u32 = 50;
+/// `cells_snapshot` calls per timed chunk.
+const SNAPSHOT_CHUNK: u32 = 10;
+/// Least 8-of-8 / 1-of-8 snapshot-sum time ratio `--enforce` accepts.
+/// Idle shards are skipped, so one written shard reads ~1/8 of the
+/// cells; the floor sits well below that ideal to absorb runner noise.
+const SNAPSHOT_SKIP_FLOOR: f64 = 3.0;
 
 fn params() -> CountMinParams {
     // α ≈ 0.1%, δ ≈ 1%: the dimensions a production deployment uses.
@@ -362,6 +378,82 @@ fn bench_contended(c: &mut Criterion, n: usize) {
     group.finish();
 }
 
+/// The merged-read kernel: `cells_snapshot` of a 544×5 sketch (the
+/// served CountMin at α = 0.005, δ = 0.01) over [`SNAPSHOT_SHARDS`]
+/// shards, once with a single shard written — one writer connection
+/// per object, as on a replica — and once with every shard written.
+/// Throughput counts summed matrix cells. The enforced figure is the
+/// ratio of the two cases, measured in the same run; each pass reports
+/// its fastest chunk (see [`SNAPSHOT_CHUNKS`]), and an untimed chunk
+/// of the other case runs before each timed one, so both cases are
+/// timed under the same cache and host conditions.
+fn bench_snapshot_sum(c: &mut Criterion, n: usize) {
+    let params = CountMinParams {
+        width: 544,
+        depth: 5,
+    };
+    let items = stream(n, 46);
+    let mut group = c.benchmark_group("snapshot_sum");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_secs(1))
+        .throughput(Throughput::Elements(
+            u64::from(SNAPSHOT_CHUNKS * SNAPSHOT_CHUNK) * (params.width * params.depth) as u64,
+        ));
+    let cases = [1, SNAPSHOT_SHARDS].map(|written| {
+        let sketch = ShardedPcm::new(params, SNAPSHOT_SHARDS, &mut CoinFlips::from_seed(9));
+        let mut scratch = BatchScratch::with_capacity(params.depth, FRAME);
+        let mut leases: Vec<_> = (0..written)
+            .map(|_| sketch.lease().expect("free shard"))
+            .collect();
+        for (k, frame) in items.chunks(FRAME).enumerate() {
+            let frame: Vec<(u64, u64)> = frame.iter().map(|&i| (i, 1)).collect();
+            leases[k % written].apply_batch(&frame, &mut scratch);
+        }
+        drop(leases);
+        (written, sketch)
+    });
+    let chunk = |sketch: &ShardedPcm| {
+        let start = Instant::now();
+        for _ in 0..SNAPSHOT_CHUNK {
+            std::hint::black_box(sketch.cells_snapshot());
+        }
+        start.elapsed()
+    };
+    for (i, (written, sketch)) in cases.iter().enumerate() {
+        let other = &cases[1 - i].1;
+        group.bench_function(
+            BenchmarkId::new(
+                "cells_snapshot",
+                format!("written={written}of{SNAPSHOT_SHARDS}"),
+            ),
+            |b| {
+                b.iter_custom(|iters| {
+                    let mut best = Duration::MAX;
+                    for _ in 0..iters * u64::from(SNAPSHOT_CHUNKS) {
+                        chunk(other);
+                        best = best.min(chunk(sketch));
+                    }
+                    best * SNAPSHOT_CHUNKS * iters as u32
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+/// 8-of-8 over 1-of-8 `cells_snapshot` time: how much skipping idle
+/// shards saves (0 when either case is missing).
+fn snapshot_skip_ratio(c: &Criterion) -> f64 {
+    let one = rate_of(c, &format!("written=1of{SNAPSHOT_SHARDS}"));
+    let all = rate_of(c, &format!("written={SNAPSHOT_SHARDS}of{SNAPSHOT_SHARDS}"));
+    match (one, all) {
+        (Some(one), Some(all)) if all > 0.0 => one / all,
+        _ => 0.0,
+    }
+}
+
 /// Melem/s of the result whose label ends in `suffix`.
 fn rate_of(c: &Criterion, suffix: &str) -> Option<f64> {
     c.results()
@@ -394,6 +486,7 @@ fn write_json(c: &Criterion, path: &str, n: usize, quick: bool) -> std::io::Resu
     };
     let batch_hot = pair("batch32/z=1.5", "per_item/z=1.5");
     let batch_serving = pair("batch32/z=1.1", "per_item/z=1.1");
+    let snapshot_skip = snapshot_skip_ratio(c);
     let doc = format!(
         "{{\n  \"bench\": \"sketch_hot_path\",\n  \"items\": {n},\n  \
          \"alphabet\": {ALPHABET},\n  \"zipf_s\": {ZIPF_S},\n  \
@@ -401,7 +494,8 @@ fn write_json(c: &Criterion, path: &str, n: usize, quick: bool) -> std::io::Resu
          \"frame_alphabet\": {FRAME_ALPHABET},\n  \"quick\": {quick},\n  \
          \"buffered_b64_vs_strict\": {ratio:.3},\n  \
          \"batch32_vs_per_item_hot\": {batch_hot:.3},\n  \
-         \"batch32_vs_per_item_serving\": {batch_serving:.3},\n  \"runs\": [\n{rows}\n  ]\n}}\n"
+         \"batch32_vs_per_item_serving\": {batch_serving:.3},\n  \
+         \"snapshot_1of8_vs_8of8\": {snapshot_skip:.3},\n  \"runs\": [\n{rows}\n  ]\n}}\n"
     );
     std::fs::write(path, doc)
 }
@@ -426,6 +520,7 @@ fn main() {
     bench_batch_kernel(&mut c, n);
     bench_skew(&mut c, n);
     bench_contended(&mut c, n);
+    bench_snapshot_sum(&mut c, n);
 
     if let Some(path) = &json_path {
         if let Err(e) = write_json(&c, path, n, c.is_quick()) {
@@ -484,6 +579,19 @@ fn main() {
                 eprintln!("enforce: missing batch32 or per_item measurement");
                 std::process::exit(1);
             }
+        }
+        // A snapshot of a sketch with one written shard must skip the
+        // seven idle ones; near parity means the span check regressed
+        // into summing every shard.
+        let skip = snapshot_skip_ratio(&c);
+        if skip >= SNAPSHOT_SKIP_FLOOR {
+            println!("enforce: 1-of-8 snapshot sum at {skip:.2}x the 8-of-8 one — ok");
+        } else {
+            eprintln!(
+                "enforce: 1-of-8 snapshot sum at {skip:.2}x the 8-of-8 one \
+                 (< {SNAPSHOT_SKIP_FLOOR}) — idle shards are being summed"
+            );
+            std::process::exit(1);
         }
     }
 }

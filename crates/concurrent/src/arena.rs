@@ -24,7 +24,7 @@ use std::sync::atomic::AtomicU64;
 /// line of 16 × 8-byte cells is exactly one padding unit: no wasted
 /// bytes, and every 16-cell group (hence every row start) is
 /// cache-line aligned.
-const LINE_CELLS: usize = 16;
+pub const LINE_CELLS: usize = 16;
 
 /// One 128-byte-aligned block of counter cells.
 type Line = CachePadded<[AtomicU64; LINE_CELLS]>;
@@ -122,6 +122,16 @@ impl RowCells<'_> {
         debug_assert!(col < self.width);
         &self.lines[col / LINE_CELLS][col % LINE_CELLS]
     }
+
+    /// The `i`-th 16-cell line of this row: columns
+    /// `[i · LINE_CELLS, (i + 1) · LINE_CELLS)`. The row's last line may
+    /// end in padding cells past `width`; nothing writes them, so they
+    /// stay zero. Line-wise readers walk a row without re-deriving
+    /// the line index per cell.
+    #[inline]
+    pub fn line(&self, i: usize) -> &[AtomicU64; LINE_CELLS] {
+        &self.lines[i]
+    }
 }
 
 #[cfg(test)]
@@ -165,5 +175,21 @@ mod tests {
         assert_eq!(row0[16], 7);
         // Row 1's first cell is its own, not row 0 padding.
         assert_eq!(arena.row(1).next().unwrap().load(Ordering::Relaxed), 9);
+    }
+
+    #[test]
+    fn lines_cover_the_row_in_column_order() {
+        let arena = CellArena::new(2, 20);
+        for col in 0..20 {
+            arena.cell(1, col).store(col as u64 + 1, Ordering::Relaxed);
+        }
+        let row = arena.row_cells(1);
+        let mut seen = Vec::new();
+        for i in 0..2 {
+            seen.extend(row.line(i).iter().map(|c| c.load(Ordering::Relaxed)));
+        }
+        let mut want: Vec<u64> = (1..=20).collect();
+        want.resize(32, 0); // padding cells stay zero
+        assert_eq!(seen, want);
     }
 }

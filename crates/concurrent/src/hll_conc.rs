@@ -148,13 +148,7 @@ impl ConcurrentHll {
     /// The corrected cardinality estimate (same estimator as the
     /// sequential sketch, evaluated on the loaded registers).
     pub fn estimate(&self) -> f64 {
-        let mut seq = self.proto.clone();
-        // Rebuild a sequential sketch with the loaded registers by
-        // merging a snapshot; `merge` takes register-wise max against
-        // the all-zero prototype, i.e. installs the snapshot.
-        let snap = self.registers_snapshot();
-        seq.merge_registers(&snap);
-        seq.estimate()
+        HyperLogLog::estimate_registers(&self.registers_snapshot())
     }
 
     /// A strictly monotone integer functional of the register vector:

@@ -19,7 +19,7 @@
 //! `shards × depth` cell reads instead of `depth` — the CountMin
 //! analogue of the paper's O(1)-update / O(n)-read batched counter.
 
-use crate::arena::CellArena;
+use crate::arena::{CellArena, RowCells, LINE_CELLS};
 use crate::batch::{BatchScratch, PREFETCH_DIST};
 use crate::{ConcurrentSketch, SketchHandle};
 use ivl_sketch::countmin::{CountMin, CountMinParams};
@@ -41,6 +41,10 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 /// (all stores `Release`); a reader that loads the shard epoch (or a
 /// row epoch) with `Acquire` therefore sees every span and cell the
 /// ops it observed wrote.
+///
+/// Spans also gate the summing kernel: outside a row's span the
+/// shard's cells are zero, so [`ShardedPcm::sum_row_range_into`] skips
+/// shards whose span misses the requested columns.
 #[derive(Debug)]
 struct ShardMeta {
     /// Shard-local op counter; bumped once per update/batch applied.
@@ -256,16 +260,13 @@ impl ShardedPcm {
     /// single-matrix CountMin over some intermediate mix of the
     /// concurrent streams — an IVL read per cell, exactly what a
     /// replication layer may merge cell-wise into a peer's snapshot
-    /// (concatenated-stream semantics of `CountMin::merge`).
+    /// (concatenated-stream semantics of `CountMin::merge`). Each row
+    /// is one full-width [`sum_row_range_into`](Self::sum_row_range_into).
     pub fn cells_snapshot(&self) -> Vec<u64> {
         let (depth, width) = (self.params.depth, self.params.width);
-        let mut out = vec![0u64; depth * width];
-        for shard in &self.shards {
-            for row in 0..depth {
-                for (col, cell) in shard.row(row).enumerate() {
-                    out[row * width + col] += cell.load(Ordering::Acquire);
-                }
-            }
+        let mut out = Vec::with_capacity(depth * width);
+        for row in 0..depth {
+            self.sum_row_range_into(row, 0, width, &mut out);
         }
         out
     }
@@ -321,9 +322,18 @@ impl ShardedPcm {
     }
 
     /// Appends the summed (across shards) cell values of `row`'s
-    /// columns `[lo, hi)` to `out` — the sparse read backing a delta
-    /// snapshot, same per-cell `Acquire` IVL semantics as
-    /// [`cells_snapshot`](Self::cells_snapshot).
+    /// columns `[lo, hi)` to `out` — the read behind both full and
+    /// delta snapshots. Each included cell is one `Acquire` load, so
+    /// the result is an intermediate mix of the concurrent streams
+    /// (Lemma 7: every cell may be read at a different moment).
+    ///
+    /// A shard whose cumulative touched span in `row` misses `[lo, hi)`
+    /// is skipped: outside its span a shard's cells are still zero,
+    /// because every writer widens the span before it commits. An op
+    /// whose span widen this read misses had not committed when the
+    /// span was loaded, and IVL allows missing an op in flight. Spans
+    /// only widen, so once a read scans a shard every later read does
+    /// too, and no cell reads backwards.
     ///
     /// # Panics
     ///
@@ -332,12 +342,70 @@ impl ShardedPcm {
         debug_assert!(row < self.params.depth && hi <= self.params.width && lo <= hi);
         let at = out.len();
         out.resize(at + (hi - lo), 0);
-        for shard in &self.shards {
-            let cells = shard.row_cells(row);
-            for (slot, col) in out[at..].iter_mut().zip(lo..hi) {
-                *slot += cells.cell(col).load(Ordering::Acquire);
+        let groups = self
+            .shards
+            .chunks(LIVE_GROUP)
+            .zip(self.meta.chunks(LIVE_GROUP));
+        for (arenas, metas) in groups {
+            // The shards that may hold data in `[lo, hi)`; entries past
+            // `n` are placeholders and never read.
+            let mut live = [arenas[0].row_cells(row); LIVE_GROUP];
+            let mut n = 0;
+            for (arena, meta) in arenas.iter().zip(metas) {
+                let span_lo = meta.span_lo[row].load(Ordering::Acquire) as usize;
+                let span_hi = meta.span_hi[row].load(Ordering::Acquire) as usize;
+                if span_lo.max(lo) < span_hi.min(hi) {
+                    live[n] = arena.row_cells(row);
+                    n += 1;
+                }
             }
+            add_line_sums(&live[..n], lo, &mut out[at..]);
         }
+    }
+}
+
+/// Most shards one [`ShardedPcm::sum_row_range_into`] pass lists on
+/// its stack; sketches with more shards are summed in groups this big.
+const LIVE_GROUP: usize = 16;
+
+/// Adds the columns `[lo, lo + dst.len())` of every row in `live` into
+/// `dst`, one [`LINE_CELLS`]-cell arena line at a time. Only in-range
+/// columns are loaded, each exactly once per row.
+fn add_line_sums(live: &[RowCells<'_>], lo: usize, dst: &mut [u64]) {
+    if live.is_empty() {
+        return;
+    }
+    let hi = lo + dst.len();
+    let mut rest = dst;
+    let mut col = lo;
+    while col < hi {
+        let line = col / LINE_CELLS;
+        let base = line * LINE_CELLS;
+        let (c0, c1) = (col - base, (hi - base).min(LINE_CELLS));
+        let (slot, tail) = rest.split_at_mut(c1 - c0);
+        if c1 - c0 == LINE_CELLS {
+            // Whole lines get constant bounds, so the sums unroll.
+            add_line(live, line, 0, LINE_CELLS, slot);
+        } else {
+            add_line(live, line, c0, c1, slot);
+        }
+        rest = tail;
+        col = base + c1;
+    }
+}
+
+/// One line of [`add_line_sums`]: columns `[c0, c1)` of `line` are
+/// summed across `live` in a stack array, then added into `slot` once.
+#[inline(always)]
+fn add_line(live: &[RowCells<'_>], line: usize, c0: usize, c1: usize, slot: &mut [u64]) {
+    let mut acc = [0u64; LINE_CELLS];
+    for cells in live {
+        for (sum, cell) in acc[c0..c1].iter_mut().zip(&cells.line(line)[c0..c1]) {
+            *sum += cell.load(Ordering::Acquire);
+        }
+    }
+    for (out, sum) in slot.iter_mut().zip(&acc[c0..c1]) {
+        *out += sum;
     }
 }
 
@@ -577,6 +645,8 @@ impl ConcurrentSketch for ShardedPcm {
 mod tests {
     use super::*;
     use ivl_sketch::FrequencySketch;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn params() -> CountMinParams {
         CountMinParams {
@@ -825,6 +895,132 @@ mod tests {
         let mut after = Vec::new();
         sharded.shard_epochs_into(&mut after);
         assert_eq!(after, now, "zero matrix must not bump the epoch");
+    }
+
+    /// Reference sum for the kernel tests: every shard, every cell,
+    /// one load each — no span skipping, no line walking.
+    fn naive_row_sum(sketch: &ShardedPcm, row: usize, lo: usize, hi: usize) -> Vec<u64> {
+        (lo..hi)
+            .map(|col| {
+                sketch
+                    .shards
+                    .iter()
+                    .map(|arena| arena.cell(row, col).load(Ordering::Acquire))
+                    .sum()
+            })
+            .collect()
+    }
+
+    /// Checks `sum_row_range_into` and `cells_snapshot` against
+    /// [`naive_row_sum`] on every full row and on random ranges
+    /// (empty, single-column, line-straddling and whole-row ones).
+    fn assert_kernel_matches_naive(sketch: &ShardedPcm, rng: &mut StdRng) {
+        let CountMinParams { width, depth } = sketch.params();
+        let mut want_full = Vec::new();
+        for row in 0..depth {
+            want_full.extend(naive_row_sum(sketch, row, 0, width));
+        }
+        assert_eq!(sketch.cells_snapshot(), want_full);
+        for _ in 0..200 {
+            let row = rng.gen_range(0..depth);
+            let lo = rng.gen_range(0..=width);
+            let hi = rng.gen_range(lo..=width);
+            // Appends after existing contents, leaving them alone.
+            let mut got = vec![7u64];
+            sketch.sum_row_range_into(row, lo, hi, &mut got);
+            assert_eq!(got[0], 7, "prefix clobbered");
+            assert_eq!(
+                got[1..],
+                naive_row_sum(sketch, row, lo, hi),
+                "row {row} [{lo}, {hi})"
+            );
+        }
+    }
+
+    /// A peer matrix with random weights in `rows` only (other rows
+    /// zero, so `absorb_cells` leaves them untouched).
+    fn matrix_in_rows(params: CountMinParams, rows: &[usize], rng: &mut StdRng) -> Vec<u64> {
+        let mut cells = vec![0u64; params.width * params.depth];
+        for &row in rows {
+            for _ in 0..3 {
+                let col = rng.gen_range(0..params.width);
+                cells[row * params.width + col] += rng.gen_range(1..100u64);
+            }
+        }
+        cells
+    }
+
+    #[test]
+    fn line_kernel_matches_naive_sum_on_partly_written_shards() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for width in [20, 544] {
+            let params = CountMinParams { width, depth: 5 };
+            let sketch = ShardedPcm::new(params, 8, &mut CoinFlips::from_seed(12));
+            let mut leases: Vec<_> = (0..8).map(|_| sketch.lease().expect("free")).collect();
+            // Untouched sketch: every range sums to zero.
+            assert_kernel_matches_naive(&sketch, &mut rng);
+            // Shard 2 gets a few keys in every row.
+            for key in [1u64, 99, 1234] {
+                leases[2].update_by(key, key + 1);
+            }
+            assert_kernel_matches_naive(&sketch, &mut rng);
+            // Shards 5 and 7 only in some rows; shards 0, 1, 3, 4, 6 idle.
+            leases[5].absorb_cells(&matrix_in_rows(params, &[0, 3], &mut rng));
+            leases[7].absorb_cells(&matrix_in_rows(params, &[4], &mut rng));
+            assert_kernel_matches_naive(&sketch, &mut rng);
+            // Every shard written.
+            let mut scratch = BatchScratch::new(params.depth);
+            for (k, lease) in leases.iter_mut().enumerate() {
+                let frame: Vec<(u64, u64)> = (0..40).map(|i| (i * 31 + k as u64, 1)).collect();
+                lease.apply_batch(&frame, &mut scratch);
+            }
+            assert_kernel_matches_naive(&sketch, &mut rng);
+        }
+    }
+
+    #[test]
+    fn line_kernel_sums_shard_groups_past_the_stack_list() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let params = CountMinParams {
+            width: 20,
+            depth: 2,
+        };
+        let shards = LIVE_GROUP + 6;
+        let sketch = ShardedPcm::new(params, shards, &mut CoinFlips::from_seed(14));
+        let mut leases: Vec<_> = (0..shards).map(|_| sketch.lease().expect("free")).collect();
+        // One written shard in each group, then every shard written.
+        leases[3].update_by(8, 2);
+        leases[LIVE_GROUP + 4].update_by(8, 5);
+        assert_kernel_matches_naive(&sketch, &mut rng);
+        for (k, lease) in leases.iter_mut().enumerate() {
+            lease.update_by(k as u64, 1);
+        }
+        assert_kernel_matches_naive(&sketch, &mut rng);
+    }
+
+    #[test]
+    fn zero_absorb_leaves_spans_and_sums_alone() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let params = CountMinParams {
+            width: 20,
+            depth: 3,
+        };
+        let sketch = ShardedPcm::new(params, 4, &mut CoinFlips::from_seed(13));
+        let mut a = sketch.lease().expect("free");
+        let mut b = sketch.lease().expect("free");
+        a.update_by(5, 3);
+        b.absorb_cells(&[0; 60]);
+        // The all-zero absorb widened no span: shard b stays skipped.
+        let meta = &sketch.meta[b.shard()];
+        for row in 0..params.depth {
+            let lo = meta.span_lo[row].load(Ordering::Acquire);
+            let hi = meta.span_hi[row].load(Ordering::Acquire);
+            assert!(lo >= hi, "row {row} span widened by a zero absorb");
+        }
+        assert_kernel_matches_naive(&sketch, &mut rng);
+        // A later nonzero absorb into the same shard is summed.
+        b.absorb_cells(&matrix_in_rows(params, &[1], &mut rng));
+        assert_kernel_matches_naive(&sketch, &mut rng);
     }
 
     #[test]

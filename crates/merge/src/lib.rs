@@ -431,6 +431,33 @@ fn take_u64(body: &mut &[u8]) -> Result<u64, &'static str> {
 
 const SHORT_BODY: &str = "body shorter than its schema";
 
+/// Appends `values` as little-endian `u64`s behind one reservation —
+/// the bulk encoding of CountMin cells, full matrices and delta runs
+/// alike.
+pub fn put_u64s(out: &mut Vec<u8>, values: &[u64]) {
+    let at = out.len();
+    out.resize(at + 8 * values.len(), 0);
+    for (dst, v) in out[at..].chunks_exact_mut(8).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Decodes `n` little-endian `u64`s from the front of `body`. The
+/// claimed count is checked against the bytes actually present before
+/// anything is allocated, so a lying header cannot over-allocate.
+pub fn take_u64s(body: &mut &[u8], n: usize) -> Result<Vec<u64>, &'static str> {
+    let len = n
+        .checked_mul(8)
+        .filter(|&len| len <= body.len())
+        .ok_or(SHORT_BODY)?;
+    let (head, rest) = body.split_at(len);
+    *body = rest;
+    Ok(head
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+        .collect())
+}
+
 impl MergeableState for SnapshotState {
     fn kind(&self) -> ObjectKind {
         match self {
@@ -462,9 +489,7 @@ impl MergeableState for SnapshotState {
                 out.extend_from_slice(&depth.to_le_bytes());
                 out.extend_from_slice(&hash_fp.to_le_bytes());
                 // No cell-count field: the count is `width * depth`.
-                for &cell in cells {
-                    out.extend_from_slice(&cell.to_le_bytes());
-                }
+                put_u64s(out, cells);
             }
             SnapshotState::Hll { hash_fp, registers } => {
                 out.extend_from_slice(&hash_fp.to_le_bytes());
@@ -492,10 +517,7 @@ impl MergeableState for SnapshotState {
                 if cells_len > (body.len() / 8) as u64 {
                     return Err(SHORT_BODY);
                 }
-                let mut cells = Vec::with_capacity(cells_len as usize);
-                for _ in 0..cells_len {
-                    cells.push(take_u64(body)?);
-                }
+                let cells = take_u64s(body, cells_len as usize)?;
                 Ok(SnapshotState::CountMin {
                     width,
                     depth,

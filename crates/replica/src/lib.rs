@@ -1519,8 +1519,6 @@ fn hll_compose(
     envelopes: &[ErrorEnvelope],
 ) -> Result<ErrorEnvelope, ReplicaError> {
     let proto = hll_proto_for(protos, seed, object, merged.len(), hash_fp)?;
-    let mut seq = proto.clone();
-    seq.merge_registers(merged);
     let register_sum: u64 = merged.iter().map(|&b| b as u64).sum();
     let observed = envelopes
         .iter()
@@ -1530,8 +1528,8 @@ fn hll_compose(
             ReplicaMode::Mirror => acc.max(o),
         });
     Ok(ErrorEnvelope::Cardinality {
-        estimate: seq.estimate(),
-        rel_std_err: seq.standard_error(),
+        estimate: HyperLogLog::estimate_registers(merged),
+        rel_std_err: proto.standard_error(),
         registers: merged.len() as u64,
         register_sum,
         observed,

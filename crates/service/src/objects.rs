@@ -1021,11 +1021,9 @@ impl ServedObject for ServedHll {
         // so the recorded query value matches the served envelope.
         let snap = self.hll.registers_snapshot();
         let register_sum = snap.iter().map(|&r| r as u64).sum();
-        let mut seq = self.hll.prototype().clone();
-        seq.merge_registers(&snap);
         ErrorEnvelope::Cardinality {
-            estimate: seq.estimate(),
-            rel_std_err: seq.standard_error(),
+            estimate: HyperLogLog::estimate_registers(&snap),
+            rel_std_err: self.hll.prototype().standard_error(),
             registers: snap.len() as u64,
             register_sum,
             observed: self.ops.observed.load(Ordering::Relaxed),
@@ -1038,11 +1036,9 @@ impl ServedObject for ServedHll {
         // envelope, so they describe the same intermediate mix.
         let snap = self.hll.registers_snapshot();
         let register_sum = snap.iter().map(|&r| r as u64).sum();
-        let mut seq = self.hll.prototype().clone();
-        seq.merge_registers(&snap);
         let envelope = ErrorEnvelope::Cardinality {
-            estimate: seq.estimate(),
-            rel_std_err: seq.standard_error(),
+            estimate: HyperLogLog::estimate_registers(&snap),
+            rel_std_err: self.hll.prototype().standard_error(),
             registers: snap.len() as u64,
             register_sum,
             observed: self.ops.observed.load(Ordering::Relaxed),
@@ -1066,11 +1062,9 @@ impl ServedObject for ServedHll {
         let epoch = self.hll.epoch();
         let snap = self.hll.registers_snapshot();
         let register_sum = snap.iter().map(|&r| r as u64).sum();
-        let mut seq = self.hll.prototype().clone();
-        seq.merge_registers(&snap);
         let envelope = ErrorEnvelope::Cardinality {
-            estimate: seq.estimate(),
-            rel_std_err: seq.standard_error(),
+            estimate: HyperLogLog::estimate_registers(&snap),
+            rel_std_err: self.hll.prototype().standard_error(),
             registers: snap.len() as u64,
             register_sum,
             observed: self.ops.observed.load(Ordering::Relaxed),
@@ -1459,6 +1453,7 @@ impl<T: AtomicApply + ?Sized> ObjectWriter for AtomicWriter<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivl_sketch::hash::PairwiseHash;
     use ivl_spec::history::{HistoryBuilder, ObjectId, ProcessId};
 
     fn registry() -> ObjectRegistry {
@@ -1841,6 +1836,57 @@ mod tests {
             );
         }
         assert!(r.snapshot_since(9, 0).is_none());
+    }
+
+    #[test]
+    fn cm_delta_covers_a_shard_first_leased_after_the_base() {
+        let metrics = Metrics::new();
+        let r = registry();
+        let obj = r.get(0).unwrap();
+        let cm = r.cm(0).unwrap();
+        let width = cm.params().width;
+        // Writer A holds shard 0 throughout; shard 1 is still idle, so
+        // the base snapshot's sum skips it.
+        let mut a = obj.writer(&metrics);
+        a.ensure_ready().unwrap();
+        a.apply(41, 3);
+        let base = r.snapshot_since(0, u64::MAX).unwrap();
+        let mut cached = match base.change {
+            DeltaChange::Full(SnapshotState::CountMin { cells, .. }) => cells,
+            other => panic!("unknown base must go full, got {other:?}"),
+        };
+        // Writer B leases shard 1 for the first time after the base.
+        let mut b = obj.writer(&metrics);
+        b.ensure_ready().unwrap();
+        b.apply(977, 5);
+        b.release();
+        let d = r.snapshot_since(0, base.epoch).unwrap();
+        match &d.change {
+            DeltaChange::CmRuns { runs, .. } => {
+                for run in runs {
+                    let at = run.row as usize * width + run.lo as usize;
+                    cached[at..at + run.values.len()].copy_from_slice(&run.values);
+                }
+            }
+            other => panic!("wanted sparse runs, got {other:?}"),
+        }
+        match r.snapshot(0).unwrap().state {
+            SnapshotState::CountMin { cells, .. } => {
+                assert_eq!(cached, cells, "the new shard's write must reach the delta");
+            }
+            other => panic!("wanted CountMin state, got {other:?}"),
+        }
+        // The patched cache answers the new key with its full weight.
+        let estimate = cm
+            .sketch()
+            .hashes()
+            .iter()
+            .enumerate()
+            .map(|(row, h)| cached[row * width + h.hash_reduced(PairwiseHash::reduce(977))])
+            .min()
+            .unwrap();
+        assert!(estimate >= 5, "estimate {estimate} misses the write");
+        a.release();
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use crate::envelope::{Envelope, ErrorEnvelope};
 use crate::metrics::{ObjectStats, StatsReport};
 use crate::objects::{CellRun, DeltaChange, ObjectInfo, ObjectKind, SnapshotDelta, SnapshotState};
-use ivl_merge::MergeableState;
+use ivl_merge::{put_u64s, take_u64s, MergeableState};
 use std::fmt;
 use std::io::{self, Read};
 
@@ -581,9 +581,7 @@ impl Response {
                             push_u32(b, run.row);
                             push_u32(b, run.lo);
                             push_u32(b, run.values.len() as u32);
-                            for v in &run.values {
-                                push_u64(b, *v);
-                            }
+                            put_u64s(b, &run.values);
                         }
                     }
                     DeltaChange::HllRange {
@@ -668,16 +666,11 @@ impl Response {
                         for _ in 0..count {
                             let row = b.u32()?;
                             let lo = b.u32()?;
-                            let len = b.u32()? as u64;
-                            // Guard the allocation against a lying
-                            // header: the cells must be buffered.
-                            if len > (b.rest.len() / 8) as u64 {
-                                return Err(WireError::Malformed("body shorter than its schema"));
-                            }
-                            let mut values = Vec::with_capacity(len as usize);
-                            for _ in 0..len {
-                                values.push(b.u64()?);
-                            }
+                            let len = b.u32()? as usize;
+                            // Refuses a lying header before allocating:
+                            // the cells must be buffered.
+                            let values =
+                                take_u64s(&mut b.rest, len).map_err(WireError::Malformed)?;
                             runs.push(CellRun { row, lo, values });
                         }
                         DeltaChange::CmRuns { base_epoch, runs }

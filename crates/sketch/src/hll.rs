@@ -84,25 +84,31 @@ impl HyperLogLog {
         }
     }
 
-    /// Bias-correction constant `α_m`.
-    fn alpha(&self) -> f64 {
-        let m = self.registers.len() as f64;
-        match self.registers.len() {
+    /// Bias-correction constant `α_m` for `m` registers.
+    fn alpha(m: usize) -> f64 {
+        match m {
             16 => 0.673,
             32 => 0.697,
             64 => 0.709,
-            _ => 0.7213 / (1.0 + 1.079 / m),
+            _ => 0.7213 / (1.0 + 1.079 / m as f64),
         }
     }
 
     /// Estimates the number of distinct items observed.
     pub fn estimate(&self) -> f64 {
-        let m = self.registers.len() as f64;
-        let sum: f64 = self.registers.iter().map(|&r| 2f64.powi(-(r as i32))).sum();
-        let raw = self.alpha() * m * m / sum;
+        Self::estimate_registers(&self.registers)
+    }
+
+    /// The [`estimate`](Self::estimate) of a sketch holding `regs`
+    /// (`m = regs.len()` registers), so a loaded register snapshot is
+    /// estimated without building a sketch around it.
+    pub fn estimate_registers(regs: &[u8]) -> f64 {
+        let m = regs.len() as f64;
+        let sum: f64 = regs.iter().map(|&r| inv_pow2(r)).sum();
+        let raw = Self::alpha(regs.len()) * m * m / sum;
         if raw <= 2.5 * m {
             // Small-range (linear counting) correction.
-            let zeros = self.registers.iter().filter(|&&r| r == 0).count();
+            let zeros = regs.iter().filter(|&&r| r == 0).count();
             if zeros > 0 {
                 return m * (m / zeros as f64).ln();
             }
@@ -132,9 +138,8 @@ impl HyperLogLog {
         self.merge_registers(&other.registers);
     }
 
-    /// Merges a raw register vector (register-wise max) — used by
-    /// concurrent implementations to install a loaded snapshot into a
-    /// sequential sketch for estimation.
+    /// Merges a raw register vector (register-wise max), e.g. a
+    /// register snapshot loaded from a concurrent sketch.
     ///
     /// # Panics
     ///
@@ -145,6 +150,14 @@ impl HyperLogLog {
             *a = (*a).max(b);
         }
     }
+}
+
+/// `2^{-r}` built from its bit pattern: the biased exponent
+/// `1023 - r` stays normal for every `u8` rank, so the term is exact —
+/// the same value `2f64.powi(-r)` computes, without the loop.
+#[inline]
+fn inv_pow2(r: u8) -> f64 {
+    f64::from_bits((1023 - u64::from(r)) << 52)
 }
 
 #[cfg(test)]
@@ -232,6 +245,61 @@ mod tests {
         let mut a = HyperLogLog::new(8, &mut c1);
         let b = HyperLogLog::new(8, &mut c2);
         a.merge(&b);
+    }
+
+    /// Reference estimator for the bit-identity test: one `powi` per
+    /// register.
+    fn powi_estimate(regs: &[u8]) -> f64 {
+        let m = regs.len() as f64;
+        let sum: f64 = regs.iter().map(|&r| 2f64.powi(-(r as i32))).sum();
+        let raw = HyperLogLog::alpha(regs.len()) * m * m / sum;
+        if raw <= 2.5 * m {
+            let zeros = regs.iter().filter(|&&r| r == 0).count();
+            if zeros > 0 {
+                return m * (m / zeros as f64).ln();
+            }
+        }
+        raw
+    }
+
+    #[test]
+    fn estimate_is_bit_identical_to_the_powi_formula() {
+        for r in 0..=u8::MAX {
+            assert_eq!(
+                inv_pow2(r).to_bits(),
+                2f64.powi(-(r as i32)).to_bits(),
+                "r = {r}"
+            );
+        }
+        // Random register vectors of every shape: sparse (linear
+        // counting), dense, and ranks past what `route` produces.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for precision in [4u32, 5, 6, 10, 12] {
+            for trial in 0..50 {
+                let max_rank = [2u64, 8, 20, 64, 256][trial % 5];
+                let regs: Vec<u8> = (0..1usize << precision)
+                    .map(|_| {
+                        let v = next();
+                        if v % 4 == 0 {
+                            0
+                        } else {
+                            ((v >> 8) % max_rank) as u8
+                        }
+                    })
+                    .collect();
+                assert_eq!(
+                    HyperLogLog::estimate_registers(&regs).to_bits(),
+                    powi_estimate(&regs).to_bits(),
+                    "precision {precision}, trial {trial}"
+                );
+            }
+        }
     }
 
     #[test]
